@@ -1,22 +1,22 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Benchmark the int64 numpy kernels against the exact big-int route.
 
-Times Dirichlet convolution and the multiplicative sieves on both backends
-(JIT warmup excluded), plus the exact big-int path at a small size for
-scale.  Usage:
+Times Dirichlet convolution with the hyperbola-split numpy kernel and with
+the exact pure-Python divisor-pair loop (the ``python`` backend's route) on
+the same values, plus the multiplicative sieves.  The exact loop is skipped
+above ``--max-exact``.  Usage:
 
-    python3 benchmarks/bench_convolve.py [--max-n 1000000] [--repeats 3]
+    python3 benchmarks/bench_convolve.py [--max-n 1000000] [--max-exact 100000] [--repeats 3]
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import time
 
 import numpy as np
 
-from arithring import kernels
+from arithring import kernels, ring
 
 
 def best_of(repeats, fn, *args):
@@ -34,22 +34,22 @@ def random_dense(n, rng):
     return arr
 
 
-def bench_convolution(sizes, repeats, backends):
+def bench_convolution(sizes, repeats, max_exact):
     rng = np.random.default_rng(0xBE9C)
-    print(f"{'convolve n':>12} " + " ".join(f"{b:>12}" for b in backends) + f" {'speedup':>9}")
+    print(f"{'convolve n':>12} {'numpy':>12} {'exact':>12} {'speedup':>9}")
     for n in sizes:
         a = random_dense(n, rng)
         b = random_dense(n, rng)
-        times = []
-        for backend in backends:
-            with kernels.use_backend(backend):
-                kernels.convolve_i64(a[: min(n, 1000) + 1], b[: min(n, 1000) + 1])  # warm
-                times.append(best_of(repeats, kernels.convolve_i64, a, b))
-        ratio = times[1] / times[0] if len(times) > 1 and times[0] > 0 else float("nan")
-        print(f"{n:>12,} " + " ".join(f"{t * 1e3:>10.1f}ms" for t in times) + f" {ratio:>8.1f}x")
+        fast = best_of(repeats, kernels.convolve_i64, a, b)
+        line = f"{n:>12,} {fast * 1e3:>10.1f}ms"
+        if n <= max_exact:
+            la, lb = a[1:].tolist(), b[1:].tolist()
+            exact = best_of(repeats, ring._convolve_exact, la, lb, n, 0)
+            line += f" {exact * 1e3:>10.1f}ms {exact / fast:>8.1f}x"
+        print(line)
 
 
-def bench_sieves(n, repeats, backends):
+def bench_sieves(n, repeats):
     jobs = [
         ("primes_mask", kernels.primes_mask, (n,)),
         ("mobius", kernels.mobius_i64, (n,)),
@@ -58,42 +58,21 @@ def bench_sieves(n, repeats, backends):
         ("sigma_1", kernels.sigma_i64, (n, 1)),
         ("liouville", kernels.liouville_i64, (n,)),
     ]
-    print(f"\n{'sieve at ' + format(n, ','):>12} " + " ".join(f"{b:>12}" for b in backends))
+    print(f"\n{'sieve at ' + format(n, ','):>12} {'numpy':>12}")
     for name, fn, args in jobs:
-        times = []
-        for backend in backends:
-            with kernels.use_backend(backend):
-                fn(1000, *args[1:])  # warm
-                times.append(best_of(repeats, fn, *args))
-        print(f"{name:>12} " + " ".join(f"{t * 1e3:>10.1f}ms" for t in times))
-
-
-def bench_exact_path(repeats):
-    from arithring import Domain, convolve, make
-
-    rng = random.Random(1)
-    n = 20_000
-    f = make([rng.randint(0, 9) for _ in range(n)], Domain.Z)
-    g = make([rng.randint(0, 9) for _ in range(n)], Domain.Z)
-    with kernels.use_backend("python"):
-        t = best_of(repeats, convolve, f, g)
-    print(f"\nexact big-int path, convolve n={n:,}: {t * 1e3:.1f}ms")
+        print(f"{name:>12} {best_of(repeats, fn, *args) * 1e3:>10.1f}ms")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=10**6)
+    parser.add_argument("--max-exact", type=int, default=10**5)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    backends = ["numba", "numpy"] if kernels.HAVE_NUMBA else ["numpy"]
-    if not kernels.HAVE_NUMBA:
-        print("numba not importable; timing the numpy fallback only")
-
     sizes = [n for n in (10**4, 10**5, 10**6) if n <= args.max_n]
-    bench_convolution(sizes, args.repeats, backends)
-    bench_sieves(min(10**6, args.max_n), args.repeats, backends)
-    bench_exact_path(args.repeats)
+    bench_convolution(sizes, args.repeats, args.max_exact)
+    bench_sieves(min(10**6, args.max_n), args.repeats)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ request):
     prime_char          1 on primes, else 0
     pi_squared          (number of primes <= n)^2
 
-Generation is a linear sieve (numba backend) or per-prime valuation passes
-(numpy backend), never per-index factorization.  sigma_k and id_k switch to
-an exact big-int sieve when int64 cannot be guaranteed.
+Generation is by per-prime valuation passes (the numpy kernels), never
+per-index factorization.  sigma_k and id_k switch to an exact big-int sieve
+when int64 cannot be guaranteed.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
 """Low-level int64 kernels: Dirichlet convolution and multiplicative sieves.
 
-Two interchangeable backends:
+The kernels are vectorised numpy.  Convolution uses Dirichlet's hyperbola
+split, about 2*sqrt(n) strided passes; the sieves make one strided pass per
+prime.
 
-* ``numba`` -- @njit compiled loops (default when numba imports cleanly).
-* ``numpy`` -- vectorised pure-numpy fallback.
-
-Select with the ``ARITHRING_BACKEND`` environment variable (``numba``,
-``numpy`` or ``python``) or at runtime via :func:`set_backend`.  The
+Select the route with the ``ARITHRING_BACKEND`` environment variable
+(``numpy`` or ``python``) or at runtime via :func:`set_backend`.  The
 ``python`` setting disables the int64 fast paths entirely, forcing callers
-onto their exact big-int code; primality masks still come from numpy since
-they carry no value arithmetic.
+onto their exact big-int code, the reference the int64 route is tested
+against; primality masks still come from numpy since they carry no value
+arithmetic.
 
 All arrays here are 1-indexed: length ``n + 1`` with slot 0 unused (zero).
 Every kernel is exact in int64; callers must gate inputs so no intermediate
@@ -24,15 +24,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+# numba support was removed; the flag stays because the benchmark harness
+# (perfbench/run.py) records it in every result's provenance.
+HAVE_NUMBA = False
 
 ENV_VAR = "ARITHRING_BACKEND"
-BACKENDS = ("numba", "numpy", "python")
+BACKENDS = ("numpy", "python")
 
 # 2**62 leaves one spare bit below int64; convolution partial sums of k terms
 # bounded by max|a| * max|b| * k never wrap if the full bound clears this.
@@ -41,15 +38,9 @@ I64_SAFE = 1 << 62
 
 def _initial_backend() -> str:
     env = os.environ.get(ENV_VAR, "").strip().lower()
-    if env:
-        if env not in BACKENDS:
-            raise ValueError(
-                f"{ENV_VAR}={env!r}: expected one of {', '.join(BACKENDS)}"
-            )
-        if env == "numba" and not HAVE_NUMBA:
-            raise ImportError(f"{ENV_VAR}=numba but numba is not importable")
-        return env
-    return "numba" if HAVE_NUMBA else "numpy"
+    if env and env not in BACKENDS:
+        raise ValueError(f"{ENV_VAR}={env!r}: expected one of {', '.join(BACKENDS)}")
+    return env or "numpy"
 
 
 _backend = _initial_backend()
@@ -63,8 +54,6 @@ def set_backend(name: str) -> None:
     global _backend
     if name not in BACKENDS:
         raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ImportError("numba backend requested but numba is not importable")
     _backend = name
 
 
@@ -96,23 +85,29 @@ def convolution_fits_i64(max_a: int, max_b: int, n: int) -> bool:
     return max_a * max_b * 2 * math.isqrt(n) < I64_SAFE
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
+def convolve_i64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b)(k) = sum over divisor pairs d*m = k of a[d] b[m], k <= n.
 
-
-def _convolve_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    Dirichlet's hyperbola split at s = isqrt(n): rows d <= s add a[d] * b
+    along out[d::d]; the pairs with d > s have m <= n // (s + 1), and each
+    such column m adds b[m] * a[s+1 : n//m + 1] along out[(s+1)*m::m].
+    Every pair is visited once, in about 2*sqrt(n) vectorised passes.  The
+    gate bounds every partial sum, so the summation order cannot change a
+    value.
+    """
     n = a.shape[0] - 1
+    s = math.isqrt(n)
     out = np.zeros(n + 1, np.int64)
-    for d in range(1, n + 1):
-        ad = a[d]
+    for d, ad in enumerate(a[1 : s + 1].tolist(), 1):
         if ad:
-            m = n // d
-            out[d :: d] += ad * b[1 : m + 1]
+            out[d::d] += ad * b[1 : n // d + 1]
+    for m, bm in enumerate(b[1 : n // (s + 1) + 1].tolist(), 1):
+        if bm:
+            out[(s + 1) * m :: m] += bm * a[s + 1 : n // m + 1]
     return out
 
 
-def _primes_mask_numpy(n: int) -> np.ndarray:
+def primes_mask(n: int) -> np.ndarray:
     mask = np.zeros(n + 1, np.bool_)
     if n >= 2:
         mask[2:] = True
@@ -122,11 +117,11 @@ def _primes_mask_numpy(n: int) -> np.ndarray:
     return mask
 
 
-def _multiplicative_numpy(n, prime_power_value):
+def _multiplicative(n, prime_power_value):
     """f(n) = prod f(p^e) per prime-power valuation; O(n log log n) passes."""
     out = np.ones(n + 1, np.int64)
     out[0] = 0
-    for p in np.nonzero(_primes_mask_numpy(n))[0].tolist():
+    for p in np.nonzero(primes_mask(n))[0].tolist():
         # g[i] covers the multiple (i + 1) * p; ascending prime powers
         # overwrite so the surviving entry matches the exact valuation.
         g = np.full(n // p, prime_power_value(p, 1), np.int64)
@@ -139,227 +134,23 @@ def _multiplicative_numpy(n, prime_power_value):
     return out
 
 
-def _mobius_numpy(n):
-    return _multiplicative_numpy(n, lambda p, e: -1 if e == 1 else 0)
-
-
-def _phi_numpy(n):
-    return _multiplicative_numpy(n, lambda p, e: p**e - p ** (e - 1))
-
-
-def _tau_numpy(n):
-    return _multiplicative_numpy(n, lambda p, e: e + 1)
-
-
-def _liouville_numpy(n):
-    return _multiplicative_numpy(n, lambda p, e: 1 - 2 * (e & 1))
-
-
-def _sigma_numpy(n, k):
-    return _multiplicative_numpy(
-        n, lambda p, e: (p ** (k * (e + 1)) - 1) // (p**k - 1)
-    )
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _convolve_numba(a, b):
-        n = a.shape[0] - 1
-        out = np.zeros(n + 1, np.int64)
-        for d in range(1, n + 1):
-            ad = a[d]
-            if ad != 0:
-                idx = d
-                m = 1
-                while idx <= n:
-                    out[idx] += ad * b[m]
-                    idx += d
-                    m += 1
-        return out
-
-    @njit(cache=True)
-    def _primes_mask_numba(n):
-        mask = np.zeros(n + 1, np.bool_)
-        for i in range(2, n + 1):
-            mask[i] = True
-        i = 2
-        while i * i <= n:
-            if mask[i]:
-                j = i * i
-                while j <= n:
-                    mask[j] = False
-                    j += i
-            i += 1
-        return mask
-
-    @njit(cache=True)
-    def _spf_numba(n):
-        # linear sieve: every composite is crossed once via its least prime
-        spf = np.zeros(n + 1, np.int64)
-        primes = np.zeros(n + 1, np.int64)
-        cnt = 0
-        for i in range(2, n + 1):
-            if spf[i] == 0:
-                spf[i] = i
-                primes[cnt] = i
-                cnt += 1
-            for j in range(cnt):
-                p = primes[j]
-                if p > spf[i] or i * p > n:
-                    break
-                spf[i * p] = p
-        return spf
-
-    @njit(cache=True)
-    def _mobius_numba(n):
-        spf = _spf_numba(n)
-        mu = np.zeros(n + 1, np.int64)
-        if n >= 1:
-            mu[1] = 1
-        for i in range(2, n + 1):
-            p = spf[i]
-            m = i // p
-            if spf[m] == p:
-                mu[i] = 0
-            else:
-                mu[i] = -mu[m]
-        return mu
-
-    @njit(cache=True)
-    def _phi_numba(n):
-        spf = _spf_numba(n)
-        phi = np.zeros(n + 1, np.int64)
-        if n >= 1:
-            phi[1] = 1
-        for i in range(2, n + 1):
-            p = spf[i]
-            m = i // p
-            if spf[m] == p:
-                phi[i] = phi[m] * p
-            else:
-                phi[i] = phi[m] * (p - 1)
-        return phi
-
-    @njit(cache=True)
-    def _tau_numba(n):
-        spf = _spf_numba(n)
-        tau = np.zeros(n + 1, np.int64)
-        exp = np.zeros(n + 1, np.int64)
-        if n >= 1:
-            tau[1] = 1
-        for i in range(2, n + 1):
-            p = spf[i]
-            m = i // p
-            if spf[m] == p:
-                exp[i] = exp[m] + 1
-                tau[i] = tau[m] // (exp[m] + 1) * (exp[i] + 1)
-            else:
-                exp[i] = 1
-                tau[i] = tau[m] * 2
-        return tau
-
-    @njit(cache=True)
-    def _liouville_numba(n):
-        spf = _spf_numba(n)
-        lam = np.zeros(n + 1, np.int64)
-        if n >= 1:
-            lam[1] = 1
-        for i in range(2, n + 1):
-            lam[i] = -lam[i // spf[i]]
-        return lam
-
-    @njit(cache=True)
-    def _sigma_numba(n, k):
-        spf = _spf_numba(n)
-        sig = np.zeros(n + 1, np.int64)
-        psum = np.zeros(n + 1, np.int64)  # sigma_k(p^e) for p = spf[i]
-        ppow = np.zeros(n + 1, np.int64)  # p^(k e)
-        if n >= 1:
-            sig[1] = 1
-        for i in range(2, n + 1):
-            p = spf[i]
-            m = i // p
-            pk = 1
-            for _ in range(k):
-                pk *= p
-            if spf[m] == p:
-                ppow[i] = ppow[m] * pk
-                psum[i] = psum[m] + ppow[i]
-                sig[i] = sig[m] // psum[m] * psum[i]
-            else:
-                ppow[i] = pk
-                psum[i] = 1 + pk
-                sig[i] = sig[m] * psum[i]
-        return sig
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def _use_numba() -> bool:
-    return _backend == "numba"
-
-
-def convolve_i64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a * b)(m) = sum over divisor pairs d*e = m of a[d] b[e], m <= n."""
-    if _use_numba():
-        return _convolve_numba(a, b)
-    return _convolve_numpy(a, b)
-
-
-def primes_mask(n: int) -> np.ndarray:
-    if _use_numba():
-        return _primes_mask_numba(n)
-    return _primes_mask_numpy(n)
-
-
 def mobius_i64(n: int) -> np.ndarray:
-    if _use_numba():
-        return _mobius_numba(n)
-    return _mobius_numpy(n)
+    return _multiplicative(n, lambda p, e: -1 if e == 1 else 0)
 
 
 def phi_i64(n: int) -> np.ndarray:
-    if _use_numba():
-        return _phi_numba(n)
-    return _phi_numpy(n)
+    return _multiplicative(n, lambda p, e: p**e - p ** (e - 1))
 
 
 def tau_i64(n: int) -> np.ndarray:
-    if _use_numba():
-        return _tau_numba(n)
-    return _tau_numpy(n)
+    return _multiplicative(n, lambda p, e: e + 1)
 
 
 def liouville_i64(n: int) -> np.ndarray:
-    if _use_numba():
-        return _liouville_numba(n)
-    return _liouville_numpy(n)
+    return _multiplicative(n, lambda p, e: 1 - 2 * (e & 1))
 
 
 def sigma_i64(n: int, k: int) -> np.ndarray:
     if k == 0:
         return tau_i64(n)
-    if _use_numba():
-        return _sigma_numba(n, k)
-    return _sigma_numpy(n, k)
-
-
-def warmup(n: int = 16) -> None:
-    """Trigger JIT compilation so timed sections measure steady state."""
-    a = np.ones(n + 1, np.int64)
-    a[0] = 0
-    convolve_i64(a, a)
-    primes_mask(n)
-    mobius_i64(n)
-    phi_i64(n)
-    tau_i64(n)
-    liouville_i64(n)
-    sigma_i64(n, 1)
+    return _multiplicative(n, lambda p, e: (p ** (k * (e + 1)) - 1) // (p**k - 1))

@@ -29,6 +29,9 @@ from . import numutil
 # need a smarter factoring engine than this module wants to carry.
 DEFAULT_ROOT_LIMIT = 10**9
 
+# Largest root whose pairwise divisor products x * y all fit in int64.
+_I64_SQRT = math.isqrt(2**63 - 1)
+
 
 @dataclass(frozen=True)
 class DivisorPoset:
@@ -294,6 +297,9 @@ def is_boolean(poset: DivisorPoset) -> bool:
 def gcd_lcm_identity_check(poset: DivisorPoset) -> bool:
     """gcd(x, y) * lcm(x, y) = x * y over all pairs."""
     e, g, l = _tables(poset)
+    if poset.root > _I64_SQRT:
+        # x * y reaches root**2, which wraps in int64: compare exact ints
+        e, g, l = (t.astype(object) for t in (e, g, l))
     return bool(np.array_equal(g * l, np.outer(e, e)))
 
 

@@ -173,7 +173,10 @@ class DivisionResult:
 
 def make(values: Iterable, domain: Domain = Domain.Q) -> ArithFunc:
     """Build an ArithFunc from f(1), f(2), ... validating every coefficient."""
-    vals = tuple(_coerce(v, domain) for v in values)
+    vals = tuple(values)
+    # exact ints are the identity case of _coerce over Z: skip the per-value call
+    if domain is not Domain.Z or not all(type(v) is int for v in vals):
+        vals = tuple(_coerce(v, domain) for v in vals)
     if not vals:
         raise ValueError("an arithmetic function needs at least one value")
     return ArithFunc(domain, vals)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from arithring import ArithFunc, Domain, make
 
-# first call into a cold @njit kernel can blow hypothesis' default deadline
+# example timings swing on shared machines; a per-example deadline is flaky
 settings.register_profile("arithring", deadline=None)
 settings.load_profile("arithring")
 

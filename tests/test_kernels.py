@@ -1,7 +1,8 @@
-"""Backend parity: numba, numpy, and the forced exact path must agree."""
+"""Differential tests: the int64 kernels against the exact big-int routes."""
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -10,56 +11,114 @@ import numpy as np
 import pytest
 
 from arithring import Domain, build, convolve, make
-from arithring import kernels
+from arithring import kernels, ring
+from arithring.classical import _exact_multiplicative
 
-SIZES = (1, 2, 16, 97, 300)
+from conftest import trial_division
 
-pytestmark = pytest.mark.skipif(
-    not kernels.HAVE_NUMBA, reason="numba backend unavailable"
+# N = 1, 2, 3 and, around each s*s, the places where isqrt(N) or
+# N // (isqrt(N) + 1) steps, so the row/column split moves.
+EDGE_NS = sorted(
+    {1, 2, 3}
+    | {
+        v
+        for s in (2, 3, 5, 10, 31)
+        for v in (s * s - 1, s * s, s * s + s - 1, s * s + s, s * s + 2 * s)
+    }
 )
+KINDS = ("zero", "single", "sparse", "dense")
 
 
-def _rand_i64(n, rng, lo=-9, hi=9):
+def _gate_max(n: int) -> int:
+    """Largest M with M * M * 2 * isqrt(n) below 2**62."""
+    return math.isqrt((kernels.I64_SAFE - 1) // (2 * math.isqrt(n)))
+
+
+def _array(n, rng, kind, mag):
     arr = np.zeros(n + 1, np.int64)
-    arr[1:] = [rng.randint(lo, hi) for _ in range(n)]
+    if kind == "single":
+        arr[rng.randint(1, n)] = rng.choice((mag, -mag))
+    elif kind == "sparse":
+        for i in rng.sample(range(1, n + 1), max(1, n // 20)):
+            arr[i] = rng.randint(-mag, mag) or mag
+    elif kind == "dense":
+        arr[1:] = [rng.randint(-mag, mag) for _ in range(n)]
+        arr[rng.randint(1, n)] = -mag  # the extreme is always present
     return arr
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_convolve_backends_agree(n, rng):
-    a = _rand_i64(n, rng)
-    b = _rand_i64(n, rng)
-    with kernels.use_backend("numba"):
-        fast = kernels.convolve_i64(a, b)
-    with kernels.use_backend("numpy"):
-        plain = kernels.convolve_i64(a, b)
-    assert np.array_equal(fast, plain)
+def _exact(a: np.ndarray, b: np.ndarray) -> list:
+    n = a.shape[0] - 1
+    return list(ring._convolve_exact(a[1:].tolist(), b[1:].tolist(), n, 0))
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_sieves_backends_agree(n, rng):
-    for name in ("primes_mask", "mobius_i64", "phi_i64", "tau_i64", "liouville_i64"):
-        fn = getattr(kernels, name)
-        with kernels.use_backend("numba"):
-            fast = fn(n)
-        with kernels.use_backend("numpy"):
-            plain = fn(n)
-        assert np.array_equal(fast, plain), name
+def _assert_kernel_matches_exact(n, rng, kind_a, kind_b, mag):
+    a = _array(n, rng, kind_a, mag)
+    b = _array(n, rng, kind_b, mag)
+    assert kernels.convolution_fits_i64(mag, mag, n)
+    got = kernels.convolve_i64(a, b)
+    assert got[0] == 0
+    assert got[1:].tolist() == _exact(a, b), (n, kind_a, kind_b, mag)
+
+
+@pytest.mark.parametrize("n", EDGE_NS)
+def test_convolve_matches_exact_at_split_edges(n, rng):
+    for kind_a in KINDS:
+        for kind_b in KINDS:
+            _assert_kernel_matches_exact(n, rng, kind_a, kind_b, 9)
+            _assert_kernel_matches_exact(n, rng, kind_a, kind_b, _gate_max(n))
+
+
+def test_convolve_matches_exact_at_random_n(rng):
+    for _ in range(12):
+        n = rng.randint(1, 3000)
+        for kind in KINDS:
+            _assert_kernel_matches_exact(n, rng, kind, "dense", 9)
+            _assert_kernel_matches_exact(n, rng, "dense", kind, _gate_max(n))
+
+
+def test_convolve_asymmetric_gate_maxima(rng):
+    for n in (1, 12, 99, 100, 1000):
+        big = (kernels.I64_SAFE - 1) // (2 * math.isqrt(n))
+        assert kernels.convolution_fits_i64(big, 1, n)
+        a = _array(n, rng, "dense", big)
+        b = _array(n, rng, "dense", 1)
+        assert kernels.convolve_i64(a, b)[1:].tolist() == _exact(a, b)
+        assert kernels.convolve_i64(b, a)[1:].tolist() == _exact(b, a)
+
+
+SIEVES = {
+    "mobius_i64": lambda p, e: -1 if e == 1 else 0,
+    "phi_i64": lambda p, e: p**e - p ** (e - 1),
+    "tau_i64": lambda p, e: e + 1,
+    "liouville_i64": lambda p, e: 1 - 2 * (e & 1),
+}
+
+
+@pytest.mark.parametrize("n", sorted(set(EDGE_NS) | {16, 97, 300, 1000}))
+def test_sieves_match_exact(n):
+    for name, prime_power_value in SIEVES.items():
+        got = getattr(kernels, name)(n)[1:].tolist()
+        assert got == list(_exact_multiplicative(n, prime_power_value).values), name
     for k in (0, 1, 2, 3):
-        with kernels.use_backend("numba"):
-            fast = kernels.sigma_i64(n, k)
-        with kernels.use_backend("numpy"):
-            plain = kernels.sigma_i64(n, k)
-        assert np.array_equal(fast, plain), f"sigma k={k}"
+        want = _exact_multiplicative(
+            n, lambda p, e: (p ** (k * (e + 1)) - 1) // (p**k - 1) if k else e + 1
+        )
+        assert kernels.sigma_i64(n, k)[1:].tolist() == list(want.values), f"sigma k={k}"
+    mask = kernels.primes_mask(n)
+    assert not mask[0] and not mask[1]
+    assert [i for i in range(2, n + 1) if mask[i]] == [
+        i for i in range(2, n + 1) if trial_division(i) == [i]
+    ]
 
 
 def test_python_backend_disables_int64_paths(rng):
     f = make([rng.randint(-9, 9) for _ in range(60)], Domain.Z)
     g = make([rng.randint(-9, 9) for _ in range(60)], Domain.Z)
-    with kernels.use_backend("numba"):
-        fast = convolve(f, g)
+    fast = convolve(f, g)
     with kernels.use_backend("python"):
         assert not kernels.int64_paths_enabled()
+        assert ring._try_convolve_i64(f.values, g.values, 60) is None
         exact = convolve(f, g)
     assert fast == exact
 
@@ -67,10 +126,10 @@ def test_python_backend_disables_int64_paths(rng):
 @pytest.mark.parametrize("name", ["mobius", "euler_phi", "tau", "sigma_2", "liouville_lambda"])
 def test_builders_match_across_backends(name):
     results = []
-    for backend in ("numba", "numpy", "python"):
+    for backend in kernels.BACKENDS:
         with kernels.use_backend(backend):
             results.append(build(name, 400))
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
 
 
 def test_overflow_gate():
@@ -79,28 +138,68 @@ def test_overflow_gate():
     assert kernels.convolution_fits_i64(0, 0, 10**9)
 
 
+# The bound max_a * max_b * 2 * isqrt(n) is always even, so 2**62 - 1 and
+# 2**62 + 1 cannot occur: 2**62 - 2 is the largest accepted bound.
+@pytest.mark.parametrize(
+    "max_a, max_b, n, bound",
+    [
+        ((1 << 61) - 1, 1, 1, (1 << 62) - 2),
+        (1, (1 << 61) - 1, 3, (1 << 62) - 2),
+        (1 << 61, 1, 1, 1 << 62),
+        ((1 << 61) + 1, 1, 2, (1 << 62) + 2),
+        ((1 << 51) - 1, 1, 1 << 20, (1 << 62) - (1 << 11)),
+        (1 << 25, 1 << 26, (1 << 20) + 5, 1 << 62),
+    ],
+)
+def test_overflow_gate_boundary(max_a, max_b, n, bound):
+    assert max_a * max_b * 2 * math.isqrt(n) == bound
+    assert kernels.convolution_fits_i64(max_a, max_b, n) == (bound < 1 << 62)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 8, 12, 24])
+def test_convolve_just_inside_gate_with_negative_extremes(n):
+    # tau(n) = 2 * isqrt(n) for exactly these n, so out[n] reaches the
+    # full bound -max_a * max_b * 2 * isqrt(n) just below -2**62.
+    max_a = (kernels.I64_SAFE - 1) // (2 * math.isqrt(n))
+    f = make([-max_a] * n, Domain.Z)
+    g = make([1] * n, Domain.Z)
+    assert ring._try_convolve_i64(f.values, g.values, n) is not None
+    got = convolve(f, g)
+    with kernels.use_backend("python"):
+        assert got == convolve(f, g)
+    assert got[n] == -max_a * 2 * math.isqrt(n) > -(1 << 62)
+
+
+@pytest.mark.parametrize("extreme", [-(1 << 63), 1 << 63])
+def test_out_of_gate_values_fall_back_to_exact(extreme):
+    f = make([extreme, 1, -1, 0, 5, 7], Domain.Z)
+    g = make([2, 3, 0, -4, 1, 1], Domain.Z)
+    assert ring._try_convolve_i64(f.values, g.values, 6) is None
+    got = convolve(f, g)
+    assert got.values == ring._convolve_exact(f.values, g.values, 6, 0)
+    assert got[1] == 2 * extreme
+
+
 def test_set_backend_validates():
     with pytest.raises(ValueError):
         kernels.set_backend("fortran")
+    with pytest.raises(ValueError):
+        kernels.set_backend("numba")
     assert kernels.active_backend() in kernels.BACKENDS
 
 
 def test_env_flag_selects_backend():
     code = "import arithring.kernels as k; print(k.active_backend())"
-    env = dict(os.environ, ARITHRING_BACKEND="numpy")
+    env = dict(os.environ, ARITHRING_BACKEND="python")
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
-    assert out.stdout.strip() == "numpy"
+    assert out.stdout.strip() == "python"
     env_bad = dict(os.environ, ARITHRING_BACKEND="cuda")
     out = subprocess.run(
         [sys.executable, "-c", code], env=env_bad, capture_output=True, text=True
     )
     assert out.returncode != 0
-
-
-def test_warmup_runs():
-    kernels.warmup()
 
 
 def test_concurrent_convolutions_are_identical(rng):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from arithring import (
@@ -21,6 +23,7 @@ from arithring import (
     to_dot,
     width,
 )
+from arithring import lattice as lattice_module
 from arithring import numutil
 from arithring.lattice import DEFAULT_ROOT_LIMIT
 
@@ -268,6 +271,27 @@ class TestDistributiveBoolean:
         assert gcd_lcm_identity_check(co_ideal(30))
         assert gcd_lcm_identity_check(co_ideal(12))
         assert gcd_lcm_identity_check(co_ideal(720720))
+
+    def test_gcd_lcm_identity_just_above_int64_edge(self):
+        root = math.isqrt(2**63 - 1) + 1  # 3037000500: x * y passes int64
+        poset = co_ideal(root, root_limit=root)
+        oracle = all(
+            math.gcd(x, y) * math.lcm(x, y) == x * y
+            for x in poset.elements
+            for y in poset.elements
+        )
+        assert gcd_lcm_identity_check(poset) is oracle is True
+
+    def test_gcd_lcm_identity_is_exact_above_int64_edge(self, monkeypatch):
+        # At (2**32, 2**32) a doubled lcm gives 2**65 against 2**64, equal
+        # mod 2**64: int64 products would hide the corrupt entry.
+        root = 1 << 32
+        poset = co_ideal(root, root_limit=root)
+        e, g, l = lattice_module._tables(poset)
+        l[-1, -1] *= 2
+        assert int(g[-1, -1]) * int(l[-1, -1]) != root * root
+        monkeypatch.setattr(lattice_module, "_tables", lambda _: (e, g, l))
+        assert not gcd_lcm_identity_check(poset)
 
 
 class TestEuclidFactorization:

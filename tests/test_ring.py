@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -68,13 +69,50 @@ class TestConstruction:
         assert f.values == (Fraction(1, 2), Fraction(-3), Fraction(0))
 
     def test_make_accepts_numpy_integers(self):
-        import numpy as np
-
         f = make(np.array([3, -1, 0]), Z)
         assert f.values == (3, -1, 0)
         assert all(type(v) is int for v in f.values)
         with pytest.raises(NotInDomain):
             make([np.float64(0.5)], Q)
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [
+            (True, 1),
+            (False, 0),
+            (np.int64(-7), -7),
+            (np.uint8(200), 200),
+            (Fraction(4, 1), 4),
+            (" 6/3 ", 2),
+            ("-5", -5),
+        ],
+    )
+    def test_make_over_z_coerces_values_that_are_not_exact_ints(self, value, want):
+        for values in ([3, value, 0], [value], iter([value, 3])):
+            f = make(values, Z)
+            assert want in f.values
+            assert all(type(v) is int for v in f.values)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (0.0, "floating point value 0.0 rejected"),
+            (np.float64(2.0), "floating point value"),
+            ("x", "cannot parse coefficient 'x'"),
+            ("1/2", "1/2 is not an integer"),
+            (Fraction(1, 2), "1/2 is not an integer"),
+            (None, "unsupported coefficient type NoneType"),
+        ],
+    )
+    def test_make_over_z_rejects_values_that_are_not_integers(self, value, message):
+        with pytest.raises(NotInDomain, match=message):
+            make([1, 2, value], Z)
+
+    def test_make_over_z_keeps_exact_ints(self):
+        values = [5, -(1 << 70), 0, 1 << 63]
+        f = make(iter(values), Z)
+        assert f.values == tuple(values)
+        assert all(type(v) is int for v in f.values)
 
     def test_epsilon_omega_nu_vectors(self):
         assert epsilon(4, Q).values == (1, 0, 0, 0)
