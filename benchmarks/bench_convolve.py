@@ -3,10 +3,10 @@
 
 Times Dirichlet convolution with the hyperbola-split numpy kernel and with
 the exact pure-Python divisor-pair loop (the ``python`` backend's route) on
-the same values, plus the multiplicative sieves.  The exact loop is skipped
-above ``--max-exact``.  Usage:
+the same values, plus the multiplicative sieves.  The exact loop is timed only
+up to ``MAX_EXACT``.  Usage:
 
-    python3 benchmarks/bench_convolve.py [--max-n 1000000] [--max-exact 100000] [--repeats 3]
+    python3 benchmarks/bench_convolve.py [--max-n 1000000] [--repeats 3]
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import time
 import numpy as np
 
 from arithring import kernels, ring
+
+MAX_EXACT = 10**5
 
 
 def best_of(repeats, fn, *args):
@@ -34,7 +36,7 @@ def random_dense(n, rng):
     return arr
 
 
-def bench_convolution(sizes, repeats, max_exact):
+def bench_convolution(sizes, repeats):
     rng = np.random.default_rng(0xBE9C)
     print(f"{'convolve n':>12} {'numpy':>12} {'exact':>12} {'speedup':>9}")
     for n in sizes:
@@ -42,7 +44,7 @@ def bench_convolution(sizes, repeats, max_exact):
         b = random_dense(n, rng)
         fast = best_of(repeats, kernels.convolve_i64, a, b)
         line = f"{n:>12,} {fast * 1e3:>10.1f}ms"
-        if n <= max_exact:
+        if n <= MAX_EXACT:
             la, lb = a[1:].tolist(), b[1:].tolist()
             exact = best_of(repeats, ring._convolve_exact, la, lb, n, 0)
             line += f" {exact * 1e3:>10.1f}ms {exact / fast:>8.1f}x"
@@ -66,12 +68,11 @@ def bench_sieves(n, repeats):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=10**6)
-    parser.add_argument("--max-exact", type=int, default=10**5)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
     sizes = [n for n in (10**4, 10**5, 10**6) if n <= args.max_n]
-    bench_convolution(sizes, args.repeats, args.max_exact)
+    bench_convolution(sizes, args.repeats)
     bench_sieves(min(10**6, args.max_n), args.repeats)
 
 
