@@ -15,10 +15,21 @@ Products are Dirichlet convolution, (f * g)(n) = sum of f(d) g(n/d) over
 divisor pairs d * (n/d) = n.  Over ``Domain.Z`` the convolution is routed
 through the int64 kernels in :mod:`arithring.kernels` whenever overflow is
 provably impossible; otherwise an exact big-int divisor-pair loop runs.
+
+``Domain.Q`` arithmetic runs over the same integer routes: each operand is
+written f = F / L with L the lcm of its denominators and F integral, so
+f * g = (F * G) / (L_f L_g), and the int64 gate applies to the scaled
+integers F and G.  Inverse and division take the integer solve when the
+integral leading value F(1) (resp. the divisor's leading B(r)) is +-1;
+other leading values keep the ``Fraction`` solve.  A common denominator
+wider than 64 bits (``_MAX_SCALE_BITS``; f(n) = 1/n has L = lcm(1..N))
+would make every F value as wide as L, so such operands keep the
+``Fraction`` loops too.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -208,6 +219,8 @@ def with_domain(f: ArithFunc, domain: Domain) -> ArithFunc:
     """Re-tag f into `domain` (Z embeds in Q; Q needs integer values for Z)."""
     if f.domain is domain:
         return f
+    if domain is Domain.Q:  # Z values are exact ints: nothing to validate
+        return ArithFunc(domain, tuple(map(Fraction, f.values)))
     return ArithFunc(domain, tuple(_coerce(v, domain) for v in f.values))
 
 
@@ -271,6 +284,63 @@ def monic(f: ArithFunc) -> ArithFunc:
 
 
 # ---------------------------------------------------------------------------
+# Q over Z: f = F / L with integral F
+# ---------------------------------------------------------------------------
+
+
+# Widest common denominator L, in bits, for which Q arithmetic runs as F / L
+# over the Z routes.  Scaling then grows each value by at most one machine
+# word.  A wider L would grow every value with it: f(n) = 1/n has
+# L = lcm(1..N), about 1.44 N bits, so N values of F alone would take
+# O(N^2) bits.  Such inputs keep the Fraction loops, whose terms stay small.
+_MAX_SCALE_BITS = 64
+
+
+def _scaled(values: Sequence[Fraction], den: int) -> tuple:
+    """The integers den * v for v in values; den is a multiple of each denominator."""
+    if den == 1:
+        return tuple(v.numerator for v in values)
+    return tuple(v.numerator * (den // v.denominator) for v in values)
+
+
+def _denominator(values: Sequence[Fraction]) -> Optional[int]:
+    """The lcm L of the denominators, so values = F / L with F integral.
+
+    None as soon as the lcm passes _MAX_SCALE_BITS bits.
+    """
+    den = 1
+    for d in {v.denominator for v in values}:
+        den = math.lcm(den, d)
+        if den.bit_length() > _MAX_SCALE_BITS:
+            return None
+    return den
+
+
+def _unit_denominator(values: Sequence[Fraction], i: int) -> Optional[int]:
+    """The lcm L of the denominators when F[i] = +-1 for F = L * values, else None.
+
+    F[i] = +-1 exactly when values[i] = +-1/L: its numerator is +-1 and its
+    denominator is a multiple of every other, and then L is that denominator.
+    """
+    den = values[i].denominator
+    if values[i].numerator not in (1, -1) or den.bit_length() > _MAX_SCALE_BITS:
+        return None
+    if not all(den % v.denominator == 0 for v in values):
+        return None
+    return den
+
+
+def _rational(ints: Sequence[int], scale: Fraction) -> tuple:
+    """The Fractions scale * v for v in ints."""
+    num, den = scale.numerator, scale.denominator
+    if den != 1:
+        return tuple(Fraction(num * v, den) for v in ints)
+    if num != 1:
+        ints = [num * v for v in ints]
+    return tuple(map(Fraction, ints))
+
+
+# ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
 
@@ -307,19 +377,29 @@ def _convolve_exact(a: Sequence, b: Sequence, n: int, zero: Coefficient) -> tupl
     return tuple(out)
 
 
+def _convolve_z(a: Sequence[int], b: Sequence[int], n: int) -> tuple:
+    fast = _try_convolve_i64(a, b, n)
+    return fast if fast is not None else _convolve_exact(a, b, n, 0)
+
+
 def convolve(f: ArithFunc, g: ArithFunc) -> ArithFunc:
     """Dirichlet product at the common bound, by divisor-pair iteration.
 
     Total work is sum of tau(n) for n <= N (about N log N), never
-    per-index trial division.
+    per-index trial division.  Over Domain.Q the product is
+    (F * G) / (L_f L_g) with F * G on the Z route, unless a common
+    denominator passes _MAX_SCALE_BITS bits; then the Fraction loop runs.
     """
     n = _common(f, g)
     a, b = f.values[:n], g.values[:n]
     if f.domain is Domain.Z:
-        fast = _try_convolve_i64(a, b, n)
-        if fast is not None:
-            return ArithFunc(Domain.Z, fast)
-    return ArithFunc(f.domain, _convolve_exact(a, b, n, _zero(f.domain)))
+        return ArithFunc(Domain.Z, _convolve_z(a, b, n))
+    la = _denominator(a)
+    lb = _denominator(b) if la is not None else None
+    if lb is None:
+        return ArithFunc(Domain.Q, _convolve_exact(a, b, n, Fraction(0)))
+    ints = _convolve_z(_scaled(a, la), _scaled(b, lb), n)
+    return ArithFunc(Domain.Q, _rational(ints, Fraction(1, la * lb)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,22 +407,11 @@ def convolve(f: ArithFunc, g: ArithFunc) -> ArithFunc:
 # ---------------------------------------------------------------------------
 
 
-def inverse(f: ArithFunc) -> ArithFunc:
-    """Convolution inverse g with f * g = epsilon at bound.
-
-    Solved by the triangular recursion g(1) = 1/f(1),
-    g(n) = -1/f(1) * sum of f(d) g(n/d) over divisors d > 1 of n.
-    Over Domain.Z the leading value is +-1, so every division is exact.
-    """
-    if not is_unit(f):
-        raise NotAUnit(f"leading value {f.values[0]} is not invertible in {f.domain.value}")
-    n = len(f.values)
-    a = f.values
-    zero = _zero(f.domain)
-    if f.domain is Domain.Q:
-        inv_lead = Fraction(1) / a[0]
-    else:
-        inv_lead = a[0]  # +-1 is its own reciprocal
+def _inverse_solve(a: Sequence, domain: Domain) -> tuple:
+    """Triangular solve for the inverse of the unit with values a over domain."""
+    n = len(a)
+    zero = _zero(domain)
+    inv_lead = Fraction(1) / a[0] if domain is Domain.Q else a[0]  # Z: +-1
     nonzero = [i + 1 for i in range(1, n) if a[i]]  # indices d >= 2 with f(d) != 0
     g = [zero] * (n + 1)
     acc = [zero] * (n + 1)
@@ -357,7 +426,57 @@ def inverse(f: ArithFunc) -> ArithFunc:
                 if idx > n:
                     break
                 acc[idx] += a[d - 1] * gm
-    return ArithFunc(f.domain, tuple(g[1:]))
+    return tuple(g[1:])
+
+
+def inverse(f: ArithFunc) -> ArithFunc:
+    """Convolution inverse g with f * g = epsilon at bound.
+
+    Solved by the triangular recursion g(1) = 1/f(1),
+    g(n) = -1/f(1) * sum of f(d) g(n/d) over divisors d > 1 of n.
+    Over Domain.Z the leading value is +-1, so every division is exact.
+    Over Domain.Q with f = F / L and F(1) = +-1, the inverse is L * F^-1
+    with F^-1 solved over Z (L at most _MAX_SCALE_BITS bits).
+    """
+    if not is_unit(f):
+        raise NotAUnit(f"leading value {f.values[0]} is not invertible in {f.domain.value}")
+    if f.domain is Domain.Q:
+        den = _unit_denominator(f.values, 0)
+        if den is not None:
+            ints = _inverse_solve(_scaled(f.values, den), Domain.Z)
+            return ArithFunc(Domain.Q, _rational(ints, Fraction(den)))
+    return ArithFunc(f.domain, _inverse_solve(f.values, f.domain))
+
+
+def _divide_solve(a: Sequence, b: Sequence, n: int, lead_idx: int, domain: Domain):
+    """Solve b * g = a over domain; (quotient values, None) or (None, witness)."""
+    lead = b[lead_idx - 1]
+    solve_top = n // lead_idx
+    zero = _zero(domain)
+    inv_lead = Fraction(1) / lead if domain is Domain.Q else None
+    nonzero = [i + 1 for i in range(n) if b[i]]
+    g = [zero] * (solve_top + 1)
+    acc = [zero] * (n + 1)
+    for idx in range(1, n + 1):
+        if idx % lead_idx == 0:
+            m = idx // lead_idx
+            need = a[idx - 1] - acc[idx]
+            if domain is Domain.Q:
+                gm = need * inv_lead
+            else:
+                gm, rem = divmod(need, lead)
+                if rem:
+                    return None, idx
+            g[m] = gm
+            if gm:
+                for d in nonzero:
+                    at = d * m
+                    if at > n:
+                        break
+                    acc[at] += b[d - 1] * gm
+        elif acc[idx] != a[idx - 1]:
+            return None, idx
+    return tuple(g[1:]) + (zero,) * (n - solve_top), None
 
 
 def divide(num: ArithFunc, den: ArithFunc) -> DivisionResult:
@@ -368,6 +487,10 @@ def divide(num: ArithFunc, den: ArithFunc) -> DivisionResult:
     index of the residual den * g - num is checked.  Returns the quotient,
     or the first failing index as the non-divisibility witness.  A zero
     numerator is trivially divisible with quotient omega.
+
+    Over Domain.Q with num = A / L_a, den = B / L_b and B(b) = +-1, the
+    quotient is (L_b / L_a) * q for the Z quotient q of A by B, with the
+    same witness (L_a and L_b at most _MAX_SCALE_BITS bits).
     """
     n = _common(num, den)
     a = num.values[:n]
@@ -377,41 +500,24 @@ def divide(num: ArithFunc, den: ArithFunc) -> DivisionResult:
         raise NoVisibleRank("divisor is zero at the common bound")
     if not any(a):
         return DivisionResult(omega(n, num.domain), None)
-    lead_idx, lead = rb.index, rb.leading
-    solve_top = n // lead_idx
-    zero = _zero(num.domain)
-    inv_lead = Fraction(1) / lead if num.domain is Domain.Q else None
-    nonzero = [i + 1 for i in range(n) if b[i]]
-    g = [zero] * (solve_top + 1)
-    acc = [zero] * (n + 1)
-    for idx in range(1, n + 1):
-        if idx % lead_idx == 0:
-            m = idx // lead_idx
-            need = a[idx - 1] - acc[idx]
-            if num.domain is Domain.Q:
-                gm = need * inv_lead
-            else:
-                gm, rem = divmod(need, lead)
-                if rem:
-                    return DivisionResult(None, idx)
-            g[m] = gm
-            if gm:
-                for d in nonzero:
-                    at = d * m
-                    if at > n:
-                        break
-                    acc[at] += b[d - 1] * gm
-        elif acc[idx] != a[idx - 1]:
-            return DivisionResult(None, idx)
-    quotient = tuple(g[1:]) + (zero,) * (n - solve_top)
-    return DivisionResult(ArithFunc(num.domain, quotient), None)
+    lb = _unit_denominator(b, rb.index - 1) if num.domain is Domain.Q else None
+    la = _denominator(a) if lb is not None else None
+    if la is not None:
+        q, witness = _divide_solve(_scaled(a, la), _scaled(b, lb), n, rb.index, Domain.Z)
+        if q is None:
+            return DivisionResult(None, witness)
+        return DivisionResult(ArithFunc(Domain.Q, _rational(q, Fraction(lb, la))), None)
+    q, witness = _divide_solve(a, b, n, rb.index, num.domain)
+    if q is None:
+        return DivisionResult(None, witness)
+    return DivisionResult(ArithFunc(num.domain, q), None)
 
 
 def are_associates(f: ArithFunc, g: ArithFunc) -> bool:
     """True when f and g divide each other at the common bound.
 
-    Cross-checked against the unit-factor characterization (equal ranks and
-    a unit quotient); the two must agree.
+    Decided by one division: f and g are associates exactly when their
+    ranks are equal and g divides f with a unit quotient.
     """
     n = _common(f, g)
     fa = restrict(f, n)
@@ -419,16 +525,7 @@ def are_associates(f: ArithFunc, g: ArithFunc) -> bool:
     rf, rg = rank(fa), rank(ga)
     if not rf.visible or not rg.visible:
         return rf.visible == rg.visible  # two zero functions are associates
+    if rf.index != rg.index:
+        return False
     forward = divide(fa, ga)
-    backward = divide(ga, fa)
-    two_sided = forward.divisible and backward.divisible
-    by_unit = (
-        rf.index == rg.index
-        and forward.divisible
-        and is_unit(forward.quotient)
-    )
-    if two_sided != by_unit:
-        raise RuntimeError(
-            "associate characterizations disagree; triangular solve is broken"
-        )
-    return two_sided
+    return forward.divisible and is_unit(forward.quotient)

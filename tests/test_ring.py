@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithring import (
     Domain,
@@ -130,9 +131,10 @@ class TestConstruction:
             epsilon(0, Q)
 
     def test_with_domain_embeds_and_rejects(self):
-        f = make([1, -2], Z)
+        f = make([1, -2, 2**70], Z)
         g = with_domain(f, Q)
-        assert g.domain is Q and g.values == (Fraction(1), Fraction(-2))
+        assert g.domain is Q and g.values == (Fraction(1), Fraction(-2), Fraction(2**70))
+        assert all(type(v) is Fraction for v in g.values)
         assert with_domain(g, Z) == f
         with pytest.raises(NotInDomain):
             with_domain(make(["1/2"], Q), Z)
@@ -411,6 +413,26 @@ class TestAssociates:
         assert are_associates(f, f2)
         assert are_associates(g, g2)
         assert are_associates(convolve(f, g), convolve(f2, g2))
+
+    @pytest.mark.parametrize("domain", [Q, Z])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_matches_two_sided_division(self, domain, data):
+        """Oracle: associates are exactly the pairs that divide each other."""
+        f = data.draw(arith_funcs(domain, max_bound=16, max_abs=3))
+        g = data.draw(
+            st.one_of(
+                arith_funcs(domain, max_bound=16, max_abs=3),
+                units(domain, max_bound=16, max_abs=3).map(lambda u: convolve(f, u)),
+                arith_funcs(domain, max_bound=16, max_abs=3).map(lambda h: convolve(f, h)),
+            )
+        )
+        n = min(f.bound, g.bound)
+        f, g = restrict(f, n), restrict(g, n)
+        if not rank(f).visible or not rank(g).visible:
+            return
+        two_sided = divide(f, g).divisible and divide(g, f).divisible
+        assert are_associates(f, g) == two_sided
 
 
 class TestScaleRestrict:
