@@ -2,7 +2,8 @@
 
 The oracles here are deliberately independent of the library's fast paths:
 convolution by per-index trial division, classical functions by per-index
-factorization/counting, poset width by exhaustive antichain enumeration.
+factorization/counting, poset width by exhaustive antichain enumeration or
+by bipartite matching, lattice verdicts by checking every pair or triple.
 Expected values frozen into tests were computed with these.
 """
 
@@ -10,8 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -112,6 +115,104 @@ def brute_force_width(elements: list[int]) -> int:
         if ok:
             best = size
     return best
+
+
+def _hopcroft_karp(adj: list[list[int]], n_right: int) -> tuple[list[int], list[int]]:
+    """Maximum bipartite matching; left vertices processed ascending."""
+    n_left = len(adj)
+    INF = n_left + n_right + 1
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    dist = [0] * n_left
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                w = match_r[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u: int) -> bool:
+        for v in adj[u]:
+            w = match_r[v]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_l[u] = v
+                match_r[v] = u
+                return True
+        dist[u] = INF
+        return False
+
+    while bfs():
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dfs(u)
+    return match_l, match_r
+
+
+def matching_width(elements: list[int]) -> tuple[int, tuple[int, ...]]:
+    """Dilworth width as n minus a maximum matching on strict divisibility,
+    with the Koenig antichain (left-reachable, right-unreached vertices)."""
+    n = len(elements)
+    adj = [
+        [j for j in range(i + 1, n) if elements[j] % elements[i] == 0]
+        for i in range(n)
+    ]
+    match_l, match_r = _hopcroft_karp(adj, n)
+    seen_l = [False] * n
+    seen_r = [False] * n
+    queue = deque(u for u in range(n) if match_l[u] == -1)
+    for u in queue:
+        seen_l[u] = True
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if match_l[u] != v and not seen_r[v]:
+                seen_r[v] = True
+                w = match_r[v]
+                if w != -1 and not seen_l[w]:
+                    seen_l[w] = True
+                    queue.append(w)
+    antichain = tuple(elements[i] for i in range(n) if seen_l[i] and not seen_r[i])
+    matched = sum(1 for v in match_l if v != -1)
+    return n - matched, antichain
+
+
+def brute_distributive(elements: list[int]) -> bool:
+    """x v (y ^ z) = (x v y) ^ (x v z) over every triple, cross-checked with
+    cancellation (x ^ y = x ^ z and x v y = x v z imply y = z)."""
+    e = np.asarray(elements, np.int64)  # gcds and lcms are divisors too
+    g, l = np.gcd.outer(e, e), np.lcm.outer(e, e)
+    pos_of_gcd = np.searchsorted(e, g)  # gcd of divisors is a divisor
+    n = len(e)
+    identity = all(
+        np.array_equal(l[i][pos_of_gcd], np.gcd.outer(l[i], l[i])) for i in range(n)
+    )
+    eye = np.eye(n, dtype=bool)
+    cancellation = not any(
+        ((np.equal.outer(g[i], g[i]) & np.equal.outer(l[i], l[i])) & ~eye).any()
+        for i in range(n)
+    )
+    assert identity == cancellation, (identity, cancellation)
+    return identity
+
+
+def brute_complements(x: int, elements: list[int]) -> list[int]:
+    """Every y with gcd(x, y) = 1 and lcm(x, y) = the largest element."""
+    top = elements[-1]
+    return [y for y in elements if math.gcd(x, y) == 1 and math.lcm(x, y) == top]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+import sympy
 
 from arithring import Domain, build, convolve, epsilon, identity_suite, is_unit, make
 from arithring.classical import available_names, is_known_name
@@ -111,6 +114,32 @@ class TestOracleAgreement:
 
     def test_build_deterministic(self):
         assert build("sigma_2", 500) == build("sigma_2", 500)
+
+
+class TestSympyAgreement:
+    """The sieves against sympy's per-index number theory at N = 3000."""
+
+    N = 3000
+    ORACLES = {
+        "mobius": sympy.mobius,
+        "euler_phi": sympy.totient,
+        "tau": lambda n: sympy.divisor_sigma(n, 0),
+        "sigma_1": lambda n: sympy.divisor_sigma(n, 1),
+        "sigma_2": lambda n: sympy.divisor_sigma(n, 2),
+        "liouville_lambda": lambda n: (-1) ** sympy.primeomega(n),
+    }
+
+    @pytest.mark.parametrize("name", list(ORACLES))
+    def test_multiplicative(self, name):
+        f = build(name, self.N, Z)
+        oracle = self.ORACLES[name]
+        assert list(f.values) == [int(oracle(n)) for n in range(1, self.N + 1)]
+
+    def test_prime_char_prefix_sums_count_primes(self):
+        f = build("prime_char", self.N, Z)
+        assert list(itertools.accumulate(f.values)) == [
+            int(sympy.primepi(n)) for n in range(1, self.N + 1)
+        ]
 
 
 class TestInvariants:

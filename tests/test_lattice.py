@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import time
 
 import pytest
 
@@ -23,11 +25,17 @@ from arithring import (
     to_dot,
     width,
 )
+from arithring import cli, numutil
 from arithring import lattice as lattice_module
-from arithring import numutil
 from arithring.lattice import DEFAULT_ROOT_LIMIT
 
-from conftest import brute_force_width, trial_division
+from conftest import (
+    brute_complements,
+    brute_distributive,
+    brute_force_width,
+    matching_width,
+    trial_division,
+)
 
 
 def squarefree(n: int) -> bool:
@@ -292,6 +300,53 @@ class TestDistributiveBoolean:
         assert int(g[-1, -1]) * int(l[-1, -1]) != root * root
         monkeypatch.setattr(lattice_module, "_tables", lambda _: (e, g, l))
         assert not gcd_lcm_identity_check(poset)
+
+
+def _assert_verdicts_match_oracles(a: int) -> None:
+    poset = co_ideal(a)
+    elems = list(poset.elements)
+    complements = {x: brute_complements(x, elems) for x in elems}
+    for x in elems:
+        assert complements_of(x, poset) == complements[x], (a, x)
+    distributive = brute_distributive(elems)
+    unique = all(len(c) == 1 for c in complements.values())
+    assert is_distributive(poset) is distributive, a
+    assert is_complemented(poset) is all(complements.values()), a
+    assert is_uniquely_complemented(poset) is unique, a
+    assert is_boolean(poset) is (distributive and unique), a
+    oracle_width, koenig = matching_width(elems)
+    assert len(koenig) == oracle_width
+    assert chain_cover(poset).width == oracle_width, a
+
+
+class TestStructuralVerdicts:
+    """Closed-form lattice verdicts against the brute-force oracles."""
+
+    def test_every_root_below_1500(self):
+        for a in range(1, 1500):
+            _assert_verdicts_match_oracles(a)
+
+    @pytest.mark.parametrize("a", [2**6 * 3**3, 2**4 * 3**2 * 5**2 * 7])
+    def test_high_exponent_roots(self, a):
+        _assert_verdicts_match_oracles(a)
+
+    def test_report_under_root_limit_is_fast(self, capsys):
+        # 1344 divisors under the default root limit
+        start = time.perf_counter()
+        code = cli.main(["lattice-report", "735134400", "--format", "json"])
+        elapsed = time.perf_counter() - start
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and elapsed < 2.0, elapsed
+        assert report["width"] == 184
+        assert report["distributive"] is True
+        assert report["complemented"] is False and report["boolean"] is False
+
+    def test_width_is_middle_coefficient(self):
+        # 963761198400 = 2^6 3^4 5^2 7 11 13 17 19 23: 6720 divisors; the
+        # middle coefficient of prod (1 + x + ... + x^e) is 882
+        poset = co_ideal(963761198400, root_limit=10**12)
+        assert len(poset) == 6720
+        assert chain_cover(poset).width == 882
 
 
 class TestEuclidFactorization:
