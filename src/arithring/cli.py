@@ -6,7 +6,8 @@ name from :mod:`arithring.classical` (``mobius``, ``sigma_2``, ...), an
 indicator ``nu_<r>``, or a path to a JSON/CSV function file.
 
 Exit codes: 0 success, 1 domain/verdict failure (not divisible, not a unit,
-failed identity, ...), 2 usage or file-parse error.
+failed identity, ...), 2 usage or file-parse error, or an input too large
+to compute in memory.
 """
 
 from __future__ import annotations
@@ -363,11 +364,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except serialize.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (serialize.ParseError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except RingError as exc:
         print(f"error: {exc}", file=sys.stderr)

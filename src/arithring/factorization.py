@@ -27,6 +27,7 @@ from enum import Enum
 from typing import Optional
 
 from . import numutil
+from .classical import _first_mismatch
 from .kernels import primes_mask
 from .ring import (
     ArithFunc,
@@ -211,11 +212,7 @@ def verify_factorization(f: ArithFunc, claim: FactorizationClaim) -> Factorizati
     product = claim.unit_part
     for p in claim.factors:
         product = convolve(product, p)
-    first = None
-    for i, (x, y) in enumerate(zip(product.values, f.values), 1):
-        if x != y:
-            first = i
-            break
+    first = _first_mismatch(product, f)
     return FactorizationReport(unit_ok, certificates, unverified, first is None, first)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import kernels
@@ -28,7 +29,7 @@ def _primes_upto(limit: int) -> list[int]:
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -50,11 +51,21 @@ def is_prime(n: int) -> bool:
 
 
 def smallest_prime_factor(n: int) -> int:
-    """Least divisor of n greater than 1 (n itself when n is irreducible)."""
+    """Least divisor of n greater than 1 (n itself when n is irreducible).
+
+    The cached primes are tried first; the sieve grows to sqrt(n) only when
+    none of them divides n, so 2^100 is factored without a 2^50 sieve.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     root = math.isqrt(n)
-    for p in _primes_upto(root):
+    cached = _primes_upto(1)  # the cache as it stands, at least the primes to 2^10
+    for p in cached:
+        if p > root:
+            return n
+        if n % p == 0:
+            return p
+    for p in itertools.islice(_primes_upto(root), len(cached), None):
         if p > root:
             break
         if n % p == 0:

@@ -19,8 +19,9 @@ provably impossible; otherwise an exact big-int divisor-pair loop runs.
 ``Domain.Q`` arithmetic runs over the same integer routes: each operand is
 written f = F / L with L the lcm of its denominators and F integral, so
 f * g = (F * G) / (L_f L_g), and the int64 gate applies to the scaled
-integers F and G.  Inverse and division take the integer solve when the
-integral leading value F(1) (resp. the divisor's leading B(r)) is +-1;
+integers F and G.  There is one triangular solve: the inverse of f is the
+quotient of epsilon by f, and one rule picks its route for both.  A Q
+solve runs over Z when the divisor's integral leading value B(r) is +-1;
 other leading values keep the ``Fraction`` solve.  A common denominator
 wider than 64 bits (``_MAX_SCALE_BITS``; f(n) = 1/n has L = lcm(1..N))
 would make every F value as wide as L, so such operands keep the
@@ -188,16 +189,19 @@ def make(values: Iterable, domain: Domain = Domain.Q) -> ArithFunc:
     # exact ints are the identity case of _coerce over Z: skip the per-value call
     if domain is not Domain.Z or not all(type(v) is int for v in vals):
         vals = tuple(_coerce(v, domain) for v in vals)
-    if not vals:
-        raise ValueError("an arithmetic function needs at least one value")
     return ArithFunc(domain, vals)
+
+
+def _indicator(r: int, bound: int, domain: Domain) -> tuple:
+    """The values 1 at index r, 0 elsewhere, on 1..bound."""
+    z, o = _zero(domain), _coerce(1, domain)
+    return (z,) * (r - 1) + (o,) + (z,) * (bound - r)
 
 
 def epsilon(bound: int, domain: Domain = Domain.Q) -> ArithFunc:
     """Convolution identity: 1 at index 1, 0 elsewhere."""
     _check_bound(bound)
-    z, o = _zero(domain), _coerce(1, domain)
-    return ArithFunc(domain, (o,) + (z,) * (bound - 1))
+    return ArithFunc(domain, _indicator(1, bound, domain))
 
 
 def omega(bound: int, domain: Domain = Domain.Q) -> ArithFunc:
@@ -211,8 +215,7 @@ def nu(r: int, bound: int, domain: Domain = Domain.Q) -> ArithFunc:
     _check_bound(bound)
     if not 1 <= r <= bound:
         raise ValueError(f"nu index {r} outside 1..{bound}")
-    z, o = _zero(domain), _coerce(1, domain)
-    return ArithFunc(domain, (z,) * (r - 1) + (o,) + (z,) * (bound - r))
+    return ArithFunc(domain, _indicator(r, bound, domain))
 
 
 def with_domain(f: ArithFunc, domain: Domain) -> ArithFunc:
@@ -299,8 +302,8 @@ _MAX_SCALE_BITS = 64
 def _scaled(values: Sequence[Fraction], den: int) -> tuple:
     """The integers den * v for v in values; den is a multiple of each denominator."""
     if den == 1:
-        return tuple(v.numerator for v in values)
-    return tuple(v.numerator * (den // v.denominator) for v in values)
+        return tuple([v.numerator for v in values])
+    return tuple([v.numerator * (den // v.denominator) for v in values])
 
 
 def _denominator(values: Sequence[Fraction]) -> Optional[int]:
@@ -407,64 +410,27 @@ def convolve(f: ArithFunc, g: ArithFunc) -> ArithFunc:
 # ---------------------------------------------------------------------------
 
 
-def _inverse_solve(a: Sequence, domain: Domain) -> tuple:
-    """Triangular solve for the inverse of the unit with values a over domain."""
-    n = len(a)
-    zero = _zero(domain)
-    inv_lead = Fraction(1) / a[0] if domain is Domain.Q else a[0]  # Z: +-1
-    nonzero = [i + 1 for i in range(1, n) if a[i]]  # indices d >= 2 with f(d) != 0
-    g = [zero] * (n + 1)
-    acc = [zero] * (n + 1)
-    g[1] = inv_lead
-    for m in range(1, n + 1):
-        if m > 1:
-            g[m] = -inv_lead * acc[m]
-        gm = g[m]
-        if gm:
-            for d in nonzero:
-                idx = d * m
-                if idx > n:
-                    break
-                acc[idx] += a[d - 1] * gm
-    return tuple(g[1:])
-
-
-def inverse(f: ArithFunc) -> ArithFunc:
-    """Convolution inverse g with f * g = epsilon at bound.
-
-    Solved by the triangular recursion g(1) = 1/f(1),
-    g(n) = -1/f(1) * sum of f(d) g(n/d) over divisors d > 1 of n.
-    Over Domain.Z the leading value is +-1, so every division is exact.
-    Over Domain.Q with f = F / L and F(1) = +-1, the inverse is L * F^-1
-    with F^-1 solved over Z (L at most _MAX_SCALE_BITS bits).
-    """
-    if not is_unit(f):
-        raise NotAUnit(f"leading value {f.values[0]} is not invertible in {f.domain.value}")
-    if f.domain is Domain.Q:
-        den = _unit_denominator(f.values, 0)
-        if den is not None:
-            ints = _inverse_solve(_scaled(f.values, den), Domain.Z)
-            return ArithFunc(Domain.Q, _rational(ints, Fraction(den)))
-    return ArithFunc(f.domain, _inverse_solve(f.values, f.domain))
-
-
 def _divide_solve(a: Sequence, b: Sequence, n: int, lead_idx: int, domain: Domain):
     """Solve b * g = a over domain; (quotient values, None) or (None, witness)."""
     lead = b[lead_idx - 1]
     solve_top = n // lead_idx
     zero = _zero(domain)
-    inv_lead = Fraction(1) / lead if domain is Domain.Q else None
-    nonzero = [i + 1 for i in range(n) if b[i]]
+    # exact division by lead is a product over Q, and over Z when lead is +-1
+    if domain is Domain.Q:
+        inv_lead = Fraction(1) / lead
+    else:
+        inv_lead = lead if lead in (1, -1) else None
+    # d = lead_idx only changes the index just solved, which is never read again
+    nonzero = [i + 1 for i in range(lead_idx, n) if b[i]]
     g = [zero] * (solve_top + 1)
-    acc = [zero] * (n + 1)
+    res = [zero, *a]  # res[idx] = a(idx) - (b * g)(idx) over the g solved so far
     for idx in range(1, n + 1):
         if idx % lead_idx == 0:
             m = idx // lead_idx
-            need = a[idx - 1] - acc[idx]
-            if domain is Domain.Q:
-                gm = need * inv_lead
+            if inv_lead is not None:
+                gm = res[idx] * inv_lead
             else:
-                gm, rem = divmod(need, lead)
+                gm, rem = divmod(res[idx], lead)
                 if rem:
                     return None, idx
             g[m] = gm
@@ -473,10 +439,45 @@ def _divide_solve(a: Sequence, b: Sequence, n: int, lead_idx: int, domain: Domai
                     at = d * m
                     if at > n:
                         break
-                    acc[at] += b[d - 1] * gm
-        elif acc[idx] != a[idx - 1]:
+                    res[at] -= b[d - 1] * gm
+        elif res[idx]:
             return None, idx
     return tuple(g[1:]) + (zero,) * (n - solve_top), None
+
+
+def _solve(a: Sequence, b: Sequence, n: int, lead_idx: int, domain: Domain):
+    """Solve b * g = a at bound n on the route the operands allow.
+
+    Returns (quotient values, None) or (None, witness), as :func:`_divide_solve`.
+
+    Over Domain.Q with a = A / L_a, b = B / L_b and B(lead_idx) = +-1, the
+    quotient is (L_b / L_a) * q for the Z quotient q of A by B, with the
+    same witness (L_a and L_b at most _MAX_SCALE_BITS bits).  Any other
+    operands are solved in their own domain.
+    """
+    lb = _unit_denominator(b, lead_idx - 1) if domain is Domain.Q else None
+    la = _denominator(a) if lb is not None else None
+    if la is None:
+        return _divide_solve(a, b, n, lead_idx, domain)
+    q, witness = _divide_solve(_scaled(a, la), _scaled(b, lb), n, lead_idx, Domain.Z)
+    if q is None:
+        return None, witness
+    return _rational(q, Fraction(lb, la)), None
+
+
+def inverse(f: ArithFunc) -> ArithFunc:
+    """Convolution inverse g with f * g = epsilon at bound.
+
+    The quotient of epsilon by f, by the same solve and route rule as
+    :func:`divide`: g(1) = 1/f(1), g(n) = -1/f(1) * sum of f(d) g(n/d)
+    over divisors d > 1 of n.  Over Domain.Z the leading value is +-1, so
+    every division is exact.
+    """
+    if not is_unit(f):
+        raise NotAUnit(f"leading value {f.values[0]} is not invertible in {f.domain.value}")
+    n = len(f.values)
+    g, _ = _solve(_indicator(1, n, f.domain), f.values, n, 1, f.domain)
+    return ArithFunc(f.domain, g)
 
 
 def divide(num: ArithFunc, den: ArithFunc) -> DivisionResult:
@@ -486,11 +487,9 @@ def divide(num: ArithFunc, den: ArithFunc) -> DivisionResult:
     den) by a triangular solve and taken as zero above that range; every
     index of the residual den * g - num is checked.  Returns the quotient,
     or the first failing index as the non-divisibility witness.  A zero
-    numerator is trivially divisible with quotient omega.
-
-    Over Domain.Q with num = A / L_a, den = B / L_b and B(b) = +-1, the
-    quotient is (L_b / L_a) * q for the Z quotient q of A by B, with the
-    same witness (L_a and L_b at most _MAX_SCALE_BITS bits).
+    numerator is divisible with the zero quotient.  Over Domain.Q the
+    solve runs over Z when den's integral leading value is +-1 (see
+    :func:`_solve`).
     """
     n = _common(num, den)
     a = num.values[:n]
@@ -498,16 +497,7 @@ def divide(num: ArithFunc, den: ArithFunc) -> DivisionResult:
     rb = rank(ArithFunc(den.domain, b))
     if not rb.visible:
         raise NoVisibleRank("divisor is zero at the common bound")
-    if not any(a):
-        return DivisionResult(omega(n, num.domain), None)
-    lb = _unit_denominator(b, rb.index - 1) if num.domain is Domain.Q else None
-    la = _denominator(a) if lb is not None else None
-    if la is not None:
-        q, witness = _divide_solve(_scaled(a, la), _scaled(b, lb), n, rb.index, Domain.Z)
-        if q is None:
-            return DivisionResult(None, witness)
-        return DivisionResult(ArithFunc(Domain.Q, _rational(q, Fraction(lb, la))), None)
-    q, witness = _divide_solve(a, b, n, rb.index, num.domain)
+    q, witness = _solve(a, b, n, rb.index, num.domain)
     if q is None:
         return DivisionResult(None, witness)
     return DivisionResult(ArithFunc(num.domain, q), None)

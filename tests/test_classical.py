@@ -7,7 +7,7 @@ import itertools
 import pytest
 import sympy
 
-from arithring import Domain, build, convolve, epsilon, identity_suite, is_unit, make
+from arithring import Domain, build, convolve, epsilon, identity_suite, is_unit, kernels, make
 from arithring.classical import available_names, is_known_name
 
 from conftest import (
@@ -114,6 +114,32 @@ class TestOracleAgreement:
 
     def test_build_deterministic(self):
         assert build("sigma_2", 500) == build("sigma_2", 500)
+
+
+class TestOverflowGateEdges:
+    """sigma_k and id_k on each side of the 2^62 gate: n^k * 2 isqrt(n) and n^k."""
+
+    @pytest.mark.parametrize("n, k, i64", [(4, 29, True), (3, 38, True),
+                                           (4, 30, False), (3, 39, False)])
+    def test_sigma(self, monkeypatch, n, k, i64):
+        calls = []
+        sigma_i64 = kernels.sigma_i64
+
+        def spy(*args):
+            calls.append(args)
+            return sigma_i64(*args)
+
+        monkeypatch.setattr(kernels, "sigma_i64", spy)
+        with kernels.use_backend("numpy"):
+            f = build(f"sigma_{k}", n, Z)
+        assert f.values == tuple(naive_sigma(m, k) for m in range(1, n + 1))
+        assert calls == ([(n, k)] if i64 else [])
+
+    @pytest.mark.parametrize("n, k", [(2, 61), (8, 20), (2, 62), (8, 21)])
+    def test_id(self, n, k):
+        with kernels.use_backend("numpy"):
+            f = build(f"id_{k}", n, Z)
+        assert f.values == tuple(m**k for m in range(1, n + 1))
 
 
 class TestSympyAgreement:

@@ -160,6 +160,11 @@ class TestLatticeCommands:
         code, out, _ = run(capsys, "euclid", "360", "--format", "json")
         assert json.loads(out) == {"n": 360, "factors": [2, 2, 2, 3, 3, 5]}
 
+    def test_euclid_power_of_two_sieves_no_further(self, capsys):
+        # sqrt(2^100) = 2^50: a sieve that far cannot be allocated
+        code, out, _ = run(capsys, "euclid", str(2**100))
+        assert code == 0 and out == " ".join(["2"] * 100) + "\n"
+
     def test_euclid_rejects_small(self, capsys):
         code, _, err = run(capsys, "euclid", "1")
         assert code == 2 and "need n >= 2" in err
@@ -196,6 +201,17 @@ class TestErrors:
                            "--domain", "Q")
         assert code == 1
         assert "Z vs Q" in err or "Q vs Z" in err
+
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch):
+        from arithring import numutil
+
+        def too_large(n):
+            raise MemoryError("Unable to allocate 128. TiB for the sieve")
+
+        monkeypatch.setattr(numutil, "smallest_prime_factor", too_large)
+        code, out, err = run(capsys, "euclid", str(2**100 + 277))
+        assert code == 2 and out == ""
+        assert err == "error: Unable to allocate 128. TiB for the sieve\n"
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -190,16 +190,19 @@ def test_set_backend_validates():
 
 def test_env_flag_selects_backend():
     code = "import arithring.kernels as k; print(k.active_backend())"
-    env = dict(os.environ, ARITHRING_BACKEND="python")
+    # the child imports arithring from where this process found it
+    base = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env = dict(base, ARITHRING_BACKEND="python")
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert out.stdout.strip() == "python"
-    env_bad = dict(os.environ, ARITHRING_BACKEND="cuda")
+    env_bad = dict(base, ARITHRING_BACKEND="cuda")
     out = subprocess.run(
         [sys.executable, "-c", code], env=env_bad, capture_output=True, text=True
     )
     assert out.returncode != 0
+    assert "ARITHRING_BACKEND='cuda'" in out.stderr
 
 
 def test_concurrent_convolutions_are_identical(rng):

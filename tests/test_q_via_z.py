@@ -4,9 +4,9 @@ Over ``Domain.Q``, ``convolve``, ``inverse`` and ``divide`` write each
 operand as F / L (L the lcm of its denominators, F integral) and run the
 ``Z`` routes on F.  The oracles are the ``Fraction`` loops those routes
 replace, which the library keeps for leading values other than +-1/L and
-for L wider than ``ring._MAX_SCALE_BITS``:
-``_convolve_exact`` with a ``Fraction`` zero, and ``_inverse_solve`` and
-``_divide_solve`` over ``Domain.Q``.
+for L wider than ``ring._MAX_SCALE_BITS``: ``_convolve_exact`` with a
+``Fraction`` zero, and ``_divide_solve`` over ``Domain.Q``.  The inverse
+is the quotient of epsilon, so its oracle is ``_divide_solve`` of epsilon.
 """
 
 from __future__ import annotations
@@ -85,6 +85,14 @@ def _all_fractions(f) -> bool:
     return all(type(v) is Fraction for v in f.values)
 
 
+def _fraction_inverse(f) -> tuple:
+    """The inverse of the unit f by the Fraction solve of f * g = epsilon."""
+    n = f.bound
+    values, witness = ring._divide_solve(epsilon(n, Q).values, f.values, n, 1, Q)
+    assert witness is None
+    return values
+
+
 def _route_of(monkeypatch, name: str) -> list:
     """Record the domain argument of each call to the private solve `name`."""
     seen = []
@@ -119,7 +127,7 @@ def test_inverse_matches_fraction_solve(backend, data):
     f = data.draw(units_q(data.draw(st.sampled_from(sorted(DENOMINATORS)))))
     with kernels.use_backend(backend):
         got = inverse(f)
-    assert got.values == ring._inverse_solve(f.values, Q)
+    assert got.values == _fraction_inverse(f)
     assert _all_fractions(got)
 
 
@@ -148,15 +156,14 @@ def test_divide_matches_fraction_solve(backend, data):
 
 def test_leads_pick_the_route(monkeypatch):
     """+-1/L leads take the Z solve, a lead such as 2/3 the Fraction solve."""
-    inv_route = _route_of(monkeypatch, "_inverse_solve")
-    div_route = _route_of(monkeypatch, "_divide_solve")
+    route = _route_of(monkeypatch, "_divide_solve")
     rest = [Fraction(1, 2), Fraction(-3, 5), Fraction(0), Fraction(4, 7)]
     for lead, domain in ((Fraction(1, 70), Z), (Fraction(-1, 140), Z), (Fraction(2, 3), Q)):
         f = make([lead] + rest, Q)
         inverse(f)
         divide(make([0] + rest, Q), make([0, lead] + rest, Q))
-        assert inv_route.pop() is domain
-        assert div_route.pop() is domain
+        assert route == [domain, domain]
+        route.clear()
 
 
 @pytest.fixture
@@ -235,8 +242,8 @@ def test_scale_width_bound(scalings):
         f = make([Fraction(1, den), Fraction(3, 2), Fraction(0), Fraction(-5, den)], Q)
         oracle = ring._convolve_exact(f.values, f.values, 4, Fraction(0))
         assert convolve(f, f).values == oracle
-        assert inverse(f).values == ring._inverse_solve(f.values, Q)
+        assert inverse(f).values == _fraction_inverse(f)
         assert divide(f, f).quotient == epsilon(4, Q)
-        # two operands in convolve, one in inverse, two in divide
-        assert scalings == ([den] * 5 if scaled else [])
+        # two operands in convolve, epsilon (L = 1) and f in inverse, two in divide
+        assert scalings == ([den, den, 1, den, den, den] if scaled else [])
         scalings.clear()
