@@ -15,8 +15,9 @@ request):
     pi_squared          (number of primes <= n)^2
 
 Generation is by per-prime valuation passes (the numpy kernels), never
-per-index factorization.  sigma_k and id_k switch to an exact big-int sieve
-when int64 cannot be guaranteed.
+per-index factorization.  When int64 cannot be guaranteed (sigma_k and id_k
+past the gate, or the ``python`` backend), the same sieve runs over Python
+ints.
 """
 
 from __future__ import annotations
@@ -62,31 +63,26 @@ def build(name: str, bound: int, domain: Domain = Domain.Z) -> ArithFunc:
 
 
 def _dispatch(name: str, n: int) -> ArithFunc:
+    name = {"id": "id_1", "sigma": "sigma_1"}.get(name, name)
     if name == "one":
         return make([1] * n, Domain.Z)
     if name == "epsilon":
         return epsilon(n, Domain.Z)
-    if name == "id":
-        return _id_pow(n, 1)
-    if name == "sigma":
-        return _sigma(n, 1)
+    # mobius/phi/tau/lambda values fit int64 for any feasible sieve size
     if name == "mobius":
-        return _from_kernel(n, kernels.mobius_i64, lambda p, e: -1 if e == 1 else 0)
+        return _sieve(n, kernels.RULES[name], lambda: kernels.mobius_i64(n))
     if name == "euler_phi":
-        return _from_kernel(n, kernels.phi_i64, lambda p, e: p**e - p ** (e - 1))
+        return _sieve(n, kernels.RULES[name], lambda: kernels.phi_i64(n))
     if name == "tau":
-        return _from_kernel(n, kernels.tau_i64, lambda p, e: e + 1)
+        return _sieve(n, kernels.RULES[name], lambda: kernels.tau_i64(n))
     if name == "liouville_lambda":
-        return _from_kernel(n, kernels.liouville_i64, lambda p, e: 1 - 2 * (e & 1))
+        return _sieve(n, kernels.RULES[name], lambda: kernels.liouville_i64(n))
     if name == "prime_char":
         mask = kernels.primes_mask(n)
         return make(mask[1:].astype(np.int64).tolist(), Domain.Z)
     if name == "pi_squared":
         counts = np.cumsum(kernels.primes_mask(n).astype(np.int64))
-        if n >= 1 << 31:
-            # pi(n)^2 could approach int64; redo the squaring in big ints
-            return make([int(c) ** 2 for c in counts[1:].tolist()], Domain.Z)
-        return make((counts[1:] ** 2).tolist(), Domain.Z)
+        return make([c * c for c in counts[1:].tolist()], Domain.Z)
     m = _PARAM_NAME.match(name)
     if m:
         k = int(m.group(2))
@@ -94,7 +90,9 @@ def _dispatch(name: str, n: int) -> ArithFunc:
             if k < 1:
                 raise ValueError("id_k needs k >= 1")
             return _id_pow(n, k)
-        return _sigma(n, k)
+        # sigma_k(m) <= m^k * tau(m) <= n^k * 2 sqrt(n)
+        fits = n**k * 2 * math.isqrt(n) < kernels.I64_SAFE
+        return _sieve(n, kernels.sigma_rule(k), lambda: kernels.sigma_i64(n, k), fits)
     raise ValueError(f"unknown function name {name!r}")
 
 
@@ -106,38 +104,13 @@ def _id_pow(n: int, k: int) -> ArithFunc:
     return make(vals, Domain.Z)
 
 
-def _sigma(n: int, k: int) -> ArithFunc:
-    if k < 0:
-        raise ValueError("sigma_k needs k >= 0")
-    # sigma_k(m) <= m^k * tau(m) <= n^k * 2 sqrt(n)
-    safe = n**k * 2 * math.isqrt(n) < kernels.I64_SAFE
-    if kernels.int64_paths_enabled() and safe:
-        return make(kernels.sigma_i64(n, k)[1:].tolist(), Domain.Z)
-    if k == 0:
-        return _exact_multiplicative(n, lambda p, e: e + 1)
-    return _exact_multiplicative(n, lambda p, e: (p ** (k * (e + 1)) - 1) // (p**k - 1))
-
-
-def _from_kernel(n: int, kernel: Callable, prime_power_value) -> ArithFunc:
-    # mobius/phi/tau/lambda values fit int64 for any feasible sieve size
-    if kernels.int64_paths_enabled():
-        return make(kernel(n)[1:].tolist(), Domain.Z)
-    return _exact_multiplicative(n, prime_power_value)
-
-
-def _exact_multiplicative(n: int, prime_power_value) -> ArithFunc:
-    """Big-int valuation sieve: same passes as the numpy kernel, no int64."""
-    out = [1] * (n + 1)
-    out[0] = 0
-    for p in kernels.primes_mask(n).nonzero()[0].tolist():
-        for m in range(p, n + 1, p):
-            mm = m // p
-            e = 1
-            while mm % p == 0:
-                mm //= p
-                e += 1
-            out[m] *= prime_power_value(p, e)
-    return make(out[1:], Domain.Z)
+def _sieve(n: int, rule, i64_kernel: Callable, fits_i64: bool = True) -> ArithFunc:
+    """The int64 kernel when the gate allows, else the same sieve over Python ints."""
+    if kernels.int64_paths_enabled() and fits_i64:
+        values = i64_kernel()
+    else:
+        values = kernels._multiplicative(n, rule, object)
+    return make(values[1:].tolist(), Domain.Z)
 
 
 # ---------------------------------------------------------------------------

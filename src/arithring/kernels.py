@@ -1,15 +1,16 @@
 """Low-level int64 kernels: Dirichlet convolution and multiplicative sieves.
 
 The kernels are vectorised numpy.  Convolution uses Dirichlet's hyperbola
-split, about 2*sqrt(n) strided passes; the sieves make one strided pass per
-prime.
+split, about 2*sqrt(n) strided passes; the multiplicative sieve makes one
+strided pass per prime up to sqrt(n).  Run over ``dtype=object``, the same
+sieve is the exact big-int route.
 
 Select the route with the ``ARITHRING_BACKEND`` environment variable
 (``numpy`` or ``python``) or at runtime via :func:`set_backend`.  The
 ``python`` setting disables the int64 fast paths entirely, forcing callers
 onto their exact big-int code, the reference the int64 route is tested
-against; primality masks still come from numpy since they carry no value
-arithmetic.
+against; primality masks and the sieve's cofactors stay int64 numpy since
+they hold no function values.
 
 All arrays here are 1-indexed: length ``n + 1`` with slot 0 unused (zero).
 Every kernel is exact in int64; callers must gate inputs so no intermediate
@@ -117,40 +118,62 @@ def primes_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _multiplicative(n, prime_power_value):
-    """f(n) = prod f(p^e) per prime-power valuation; O(n log log n) passes."""
-    out = np.ones(n + 1, np.int64)
+def _multiplicative(n: int, rule, dtype=np.int64) -> np.ndarray:
+    """f(m) = prod of rule(p, e) over the prime powers p^e exactly dividing m.
+
+    An m <= n has at most one prime factor above isqrt(n), with exponent 1,
+    so strided passes run only for p <= isqrt(n), each also dividing p^e out
+    of the int64 cofactor rem[m].  Then rem[m] is 1 or that large prime, and
+    one vectorised rule(rem, 1) finishes.
+    """
+    out = np.ones(n + 1, dtype)
     out[0] = 0
-    for p in np.nonzero(primes_mask(n))[0].tolist():
+    rem = np.arange(n + 1, dtype=np.int64)
+    for p in np.flatnonzero(primes_mask(math.isqrt(n))).tolist():
         # g[i] covers the multiple (i + 1) * p; ascending prime powers
         # overwrite so the surviving entry matches the exact valuation.
-        g = np.full(n // p, prime_power_value(p, 1), np.int64)
-        q, e = p, 2
+        g = np.empty(n // p, dtype)
+        q, e = 1, 0
         while q * p <= n:
-            q *= p
-            g[q // p - 1 :: q // p] = prime_power_value(p, e)
-            e += 1
+            q, e = q * p, e + 1
+            g[q // p - 1 :: q // p] = rule(p, e)
+            rem[q::q] //= p
         out[p::p] *= g
+    big = np.flatnonzero(rem > 1)
+    out[big] *= rule(rem[big].astype(dtype), 1)
     return out
 
 
+def sigma_rule(k: int):
+    """sigma_k(p^e) = 1 + p^k + ... + p^(ke), tau at k = 0.  It never forms
+    p^(2k), so rule(rem, 1) on int64 large primes stays inside the gate."""
+    return lambda p, e: sum(p ** (k * i) for i in range(e + 1))
+
+
+# f(p^e) for p an int, or at e = 1 an array of primes
+RULES = {
+    "mobius": lambda p, e: -1 if e == 1 else 0,
+    "euler_phi": lambda p, e: p**e - p ** (e - 1),
+    "tau": sigma_rule(0),
+    "liouville_lambda": lambda p, e: 1 - 2 * (e & 1),
+}
+
+
 def mobius_i64(n: int) -> np.ndarray:
-    return _multiplicative(n, lambda p, e: -1 if e == 1 else 0)
+    return _multiplicative(n, RULES["mobius"])
 
 
 def phi_i64(n: int) -> np.ndarray:
-    return _multiplicative(n, lambda p, e: p**e - p ** (e - 1))
+    return _multiplicative(n, RULES["euler_phi"])
 
 
 def tau_i64(n: int) -> np.ndarray:
-    return _multiplicative(n, lambda p, e: e + 1)
+    return _multiplicative(n, RULES["tau"])
 
 
 def liouville_i64(n: int) -> np.ndarray:
-    return _multiplicative(n, lambda p, e: 1 - 2 * (e & 1))
+    return _multiplicative(n, RULES["liouville_lambda"])
 
 
 def sigma_i64(n: int, k: int) -> np.ndarray:
-    if k == 0:
-        return tau_i64(n)
-    return _multiplicative(n, lambda p, e: (p ** (k * (e + 1)) - 1) // (p**k - 1))
+    return _multiplicative(n, sigma_rule(k))

@@ -160,15 +160,30 @@ def _validate_cover(
         for x, y in zip(chain, chain[1:]):
             if y % x != 0 or x == y:
                 raise RuntimeError(f"chain link {x} -> {y} is not a proper divisor step")
-    for i, x in enumerate(antichain):
-        for y in antichain[i + 1 :]:
-            if x % y == 0 or y % x == 0:
-                raise RuntimeError(f"antichain certificate contains comparable pair {x}, {y}")
+    # the lattice is graded by Omega, so distinct divisors of equal Omega
+    # are pairwise incomparable: an O(w) test in place of O(w^2) pairs
+    if len(set(antichain)) != len(antichain):
+        raise RuntimeError("antichain certificate repeats a member")
+    if any(poset.root % x for x in antichain):
+        raise RuntimeError(f"antichain certificate holds a non-divisor of {poset.root}")
+    ranks = {_omega(x, poset.atoms) for x in antichain}
+    if len(ranks) > 1:
+        raise RuntimeError(f"antichain certificate mixes ranks {sorted(ranks)}")
     if len(chains) != len(antichain):
         raise RuntimeError(
             f"Dilworth equality failed: {len(chains)} chains vs "
             f"{len(antichain)} antichain members"
         )
+
+
+def _omega(x: int, primes: Sequence[int]) -> int:
+    """Prime factors of x counted with multiplicity, x built from `primes`."""
+    count = 0
+    for p in primes:
+        while x % p == 0:
+            x //= p
+            count += 1
+    return count
 
 
 def width(poset: DivisorPoset) -> int:

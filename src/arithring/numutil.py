@@ -7,10 +7,11 @@ import math
 
 from . import kernels
 
-# Witnesses proving primality for every n < 3,317,044,064,679,887,385,961,981
-# (Sorenson & Webster); beyond that the test is strong-probable-prime only,
-# far past anything the divisor-lattice code will factor.
+# Witnesses proving primality for every n < _MR_PROOF_LIMIT (Sorenson &
+# Webster); the limit itself is the least strong pseudoprime to all twelve,
+# and beyond it the test is strong-probable-prime only.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PROOF_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _prime_cache: list[int] = []
 _prime_cache_limit = 0
@@ -53,8 +54,9 @@ def is_prime(n: int) -> bool:
 def smallest_prime_factor(n: int) -> int:
     """Least divisor of n greater than 1 (n itself when n is irreducible).
 
-    The cached primes are tried first; the sieve grows to sqrt(n) only when
-    none of them divides n, so 2^100 is factored without a 2^50 sieve.
+    The cached primes are tried first, then a primality proof (below
+    _MR_PROOF_LIMIT); the sieve grows to sqrt(n) only when neither settles
+    n, so neither 2^100 nor a proven prime needs a sieve to sqrt(n).
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -65,6 +67,8 @@ def smallest_prime_factor(n: int) -> int:
             return n
         if n % p == 0:
             return p
+    if n < _MR_PROOF_LIMIT and is_prime(n):
+        return n
     for p in itertools.islice(_primes_upto(root), len(cached), None):
         if p > root:
             break

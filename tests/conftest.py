@@ -2,7 +2,8 @@
 
 The oracles here are deliberately independent of the library's fast paths:
 convolution by per-index trial division, classical functions by per-index
-factorization/counting, poset width by exhaustive antichain enumeration or
+factorization/counting or a per-multiple valuation loop, antichains by
+testing every pair, poset width by exhaustive antichain enumeration or
 by bipartite matching, lattice verdicts by checking every pair or triple.
 Expected values frozen into tests were computed with these.
 """
@@ -89,6 +90,31 @@ def naive_sigma(n: int, k: int) -> int:
 
 def naive_liouville(n: int) -> int:
     return (-1) ** len(trial_division(n)) if n > 1 else 1
+
+
+def exact_multiplicative(n: int, prime_power_value) -> ArithFunc:
+    """f(m) = prod f(p^e) by a per-multiple valuation loop: every multiple
+    m of each prime p finds the exponent of p by repeated division."""
+    out = [1] * (n + 1)
+    composite = [False] * (n + 1)
+    for p in range(2, n + 1):
+        if composite[p]:
+            continue
+        for m in range(p, n + 1, p):
+            composite[m] = True
+            mm, e = m // p, 1
+            while mm % p == 0:
+                mm //= p
+                e += 1
+            out[m] *= prime_power_value(p, e)
+    return make(out[1:], Domain.Z)
+
+
+def pairwise_antichain(members) -> bool:
+    """No member divides another, tested over every pair (duplicates fail)."""
+    return not any(
+        x % y == 0 or y % x == 0 for i, x in enumerate(members) for y in members[i + 1 :]
+    )
 
 
 def brute_force_width(elements: list[int]) -> int:

@@ -11,6 +11,7 @@ from arithring import Domain, build, convolve, epsilon, identity_suite, is_unit,
 from arithring.classical import available_names, is_known_name
 
 from conftest import (
+    exact_multiplicative,
     naive_divisor_list,
     naive_is_prime,
     naive_liouville,
@@ -143,7 +144,7 @@ class TestOverflowGateEdges:
 
 
 class TestSympyAgreement:
-    """The sieves against sympy's per-index number theory at N = 3000."""
+    """The sieves on every backend against sympy's per-index number theory at N = 3000."""
 
     N = 3000
     ORACLES = {
@@ -157,15 +158,39 @@ class TestSympyAgreement:
 
     @pytest.mark.parametrize("name", list(ORACLES))
     def test_multiplicative(self, name):
-        f = build(name, self.N, Z)
         oracle = self.ORACLES[name]
-        assert list(f.values) == [int(oracle(n)) for n in range(1, self.N + 1)]
+        want = [int(oracle(n)) for n in range(1, self.N + 1)]
+        for backend in kernels.BACKENDS:
+            with kernels.use_backend(backend):
+                f = build(name, self.N, Z)
+            assert list(f.values) == want, backend
 
     def test_prime_char_prefix_sums_count_primes(self):
-        f = build("prime_char", self.N, Z)
-        assert list(itertools.accumulate(f.values)) == [
-            int(sympy.primepi(n)) for n in range(1, self.N + 1)
-        ]
+        want = [int(sympy.primepi(n)) for n in range(1, self.N + 1)]
+        for backend in kernels.BACKENDS:
+            with kernels.use_backend(backend):
+                f = build("prime_char", self.N, Z)
+            assert list(itertools.accumulate(f.values)) == want, backend
+
+
+@pytest.mark.parametrize("backend", kernels.BACKENDS)
+class TestEveryBackend:
+    """sigma_k on both sides of the int64 gate and pi_squared, per backend."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 4, 12])
+    def test_sigma_k_matches_loop_oracle(self, backend, k):
+        n = 2 * 9973
+        with kernels.use_backend(backend):
+            f = build(f"sigma_{k}", n, Z)
+        assert f == exact_multiplicative(
+            n, lambda p, e: (p ** (k * (e + 1)) - 1) // (p**k - 1) if k else e + 1
+        )
+
+    def test_pi_squared_matches_sympy(self, backend):
+        n = 3000
+        with kernels.use_backend(backend):
+            f = build("pi_squared", n, Z)
+        assert list(f.values) == [int(sympy.primepi(m)) ** 2 for m in range(1, n + 1)]
 
 
 class TestInvariants:

@@ -12,7 +12,7 @@ import pytest
 
 from arithring import Domain, build, convolve, make
 from arithring import kernels, ring
-from arithring.classical import _exact_multiplicative
+from conftest import exact_multiplicative as _exact_multiplicative
 
 from conftest import trial_division
 
@@ -95,7 +95,9 @@ SIEVES = {
 }
 
 
-@pytest.mark.parametrize("n", sorted(set(EDGE_NS) | {16, 97, 300, 1000}))
+@pytest.mark.parametrize(
+    "n", sorted(set(EDGE_NS) | {16, 97, 300, 1000, 97 * 97 - 1, 97 * 97, 97 * 97 + 1, 2 * 9973})
+)
 def test_sieves_match_exact(n):
     for name, prime_power_value in SIEVES.items():
         got = getattr(kernels, name)(n)[1:].tolist()

@@ -34,6 +34,7 @@ from conftest import (
     brute_distributive,
     brute_force_width,
     matching_width,
+    pairwise_antichain,
     trial_division,
 )
 
@@ -166,9 +167,19 @@ class TestChainCover:
 
     def test_dilworth_equality_exhaustive_small(self):
         # chain_cover raises internally if |chains| != |antichain| or any
-        # chain/antichain is malformed, so calling it is the check
+        # chain/antichain is malformed; the pairwise oracle re-checks the
+        # antichain without the rank argument chain_cover relies on
         for a in range(1, 3000):
-            chain_cover(co_ideal(a))
+            assert pairwise_antichain(chain_cover(co_ideal(a)).antichain), a
+
+    @pytest.mark.parametrize("antichain", [(2, 4), (2, 2), (5, 3)])
+    def test_validate_cover_rejects_bad_antichains(self, antichain):
+        # comparable pair, duplicate member, non-divisor of 12
+        poset = co_ideal(12)
+        chains = chain_cover(poset).chains
+        assert len(chains) == len(antichain)
+        with pytest.raises(RuntimeError, match="antichain"):
+            lattice_module._validate_cover(poset, chains, antichain)
 
     def test_dilworth_equality_sampled_to_ten_thousand(self, rng):
         for _ in range(300):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from arithring import numutil
@@ -30,6 +32,33 @@ def test_smallest_prime_factor():
         assert numutil.smallest_prime_factor(n) == trial_division(n)[0]
     with pytest.raises(ValueError):
         numutil.smallest_prime_factor(1)
+
+
+def test_smallest_prime_factor_of_a_prime_builds_no_sieve(monkeypatch):
+    monkeypatch.setattr(numutil, "_prime_cache", [])
+    monkeypatch.setattr(numutil, "_prime_cache_limit", 0)
+    p = 70368744177643  # the largest prime below 2^46
+    assert numutil.smallest_prime_factor(p) == p
+    assert numutil._prime_cache_limit < math.isqrt(p)
+
+
+def test_smallest_prime_factor_trusts_is_prime_only_below_its_proof_bound(monkeypatch):
+    # the least strong pseudoprime to all twelve bases, 1287836182261 *
+    # 2575672364521: is_prime wrongly accepts it, so it must go to the sieve
+    psi12 = 3317044064679887385961981
+    assert numutil.is_prime(psi12)
+    primes_upto = numutil._primes_upto
+
+    def no_large_sieve(limit):
+        if limit > 1 << 20:
+            raise MemoryError(f"sieve to {limit}")
+        return primes_upto(limit)
+
+    monkeypatch.setattr(numutil, "_primes_upto", no_large_sieve)
+    p = 3317044064679887385961813  # the largest prime below psi12
+    assert numutil.smallest_prime_factor(p) == p
+    with pytest.raises(MemoryError):
+        numutil.smallest_prime_factor(psi12)
 
 
 def test_factorize_and_divisors():
