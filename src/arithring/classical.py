@@ -15,9 +15,8 @@ request):
     pi_squared          (number of primes <= n)^2
 
 Generation is by per-prime valuation passes (the numpy kernels), never
-per-index factorization.  When int64 cannot be guaranteed (sigma_k and id_k
-past the gate, or the ``python`` backend), the same sieve runs over Python
-ints.
+per-index factorization.  Past the int64 gates, or under the ``python``
+backend, the same sieve runs over Python ints.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -68,18 +67,10 @@ def _dispatch(name: str, n: int) -> ArithFunc:
         return make([1] * n, Domain.Z)
     if name == "epsilon":
         return epsilon(n, Domain.Z)
-    # mobius/phi/tau/lambda values fit int64 for any feasible sieve size
-    if name == "mobius":
-        return _sieve(n, kernels.RULES[name], lambda: kernels.mobius_i64(n))
-    if name == "euler_phi":
-        return _sieve(n, kernels.RULES[name], lambda: kernels.phi_i64(n))
-    if name == "tau":
-        return _sieve(n, kernels.RULES[name], lambda: kernels.tau_i64(n))
-    if name == "liouville_lambda":
-        return _sieve(n, kernels.RULES[name], lambda: kernels.liouville_i64(n))
+    if name in kernels.RULES:
+        return _sieve(n, *kernels.RULES[name])
     if name == "prime_char":
-        mask = kernels.primes_mask(n)
-        return make(mask[1:].astype(np.int64).tolist(), Domain.Z)
+        return make(kernels.primes_mask(n)[1:].astype(np.int64).tolist(), Domain.Z)
     if name == "pi_squared":
         counts = np.cumsum(kernels.primes_mask(n).astype(np.int64))
         return make([c * c for c in counts[1:].tolist()], Domain.Z)
@@ -92,7 +83,7 @@ def _dispatch(name: str, n: int) -> ArithFunc:
             return _id_pow(n, k)
         # sigma_k(m) <= m^k * tau(m) <= n^k * 2 sqrt(n)
         fits = n**k * 2 * math.isqrt(n) < kernels.I64_SAFE
-        return _sieve(n, kernels.sigma_rule(k), lambda: kernels.sigma_i64(n, k), fits)
+        return _sieve(n, "sigma_i64", kernels.sigma_rule(k), k, fits_i64=fits)
     raise ValueError(f"unknown function name {name!r}")
 
 
@@ -104,10 +95,10 @@ def _id_pow(n: int, k: int) -> ArithFunc:
     return make(vals, Domain.Z)
 
 
-def _sieve(n: int, rule, i64_kernel: Callable, fits_i64: bool = True) -> ArithFunc:
-    """The int64 kernel when the gate allows, else the same sieve over Python ints."""
+def _sieve(n: int, kernel: str, rule, *args, fits_i64: bool = True) -> ArithFunc:
+    """kernels.<kernel>(n, *args) inside the int64 gate, else rule's sieve over ints."""
     if kernels.int64_paths_enabled() and fits_i64:
-        values = i64_kernel()
+        values = getattr(kernels, kernel)(n, *args)
     else:
         values = kernels._multiplicative(n, rule, object)
     return make(values[1:].tolist(), Domain.Z)

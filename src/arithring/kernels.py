@@ -2,8 +2,8 @@
 
 The kernels are vectorised numpy.  Convolution uses Dirichlet's hyperbola
 split, about 2*sqrt(n) strided passes; the multiplicative sieve makes one
-strided pass per prime up to sqrt(n).  Run over ``dtype=object``, the same
-sieve is the exact big-int route.
+strided pass per prime up to sqrt(n), and over ``dtype=object`` it is the
+exact big-int route.
 
 Select the route with the ``ARITHRING_BACKEND`` environment variable
 (``numpy`` or ``python``) or at runtime via :func:`set_backend`.  The
@@ -150,29 +150,30 @@ def sigma_rule(k: int):
     return lambda p, e: sum(p ** (k * i) for i in range(e + 1))
 
 
-# f(p^e) for p an int, or at e = 1 an array of primes
+# built-in name -> (its int64 kernel, f(p^e) for p an int or, at e = 1, an
+# array of primes); the values fit int64 for any feasible sieve size
 RULES = {
-    "mobius": lambda p, e: -1 if e == 1 else 0,
-    "euler_phi": lambda p, e: p**e - p ** (e - 1),
-    "tau": sigma_rule(0),
-    "liouville_lambda": lambda p, e: 1 - 2 * (e & 1),
+    "mobius": ("mobius_i64", lambda p, e: -1 if e == 1 else 0),
+    "euler_phi": ("phi_i64", lambda p, e: p**e - p ** (e - 1)),
+    "tau": ("tau_i64", sigma_rule(0)),
+    "liouville_lambda": ("liouville_i64", lambda p, e: 1 - 2 * (e & 1)),
 }
 
 
 def mobius_i64(n: int) -> np.ndarray:
-    return _multiplicative(n, RULES["mobius"])
+    return _multiplicative(n, RULES["mobius"][1])
 
 
 def phi_i64(n: int) -> np.ndarray:
-    return _multiplicative(n, RULES["euler_phi"])
+    return _multiplicative(n, RULES["euler_phi"][1])
 
 
 def tau_i64(n: int) -> np.ndarray:
-    return _multiplicative(n, RULES["tau"])
+    return _multiplicative(n, RULES["tau"][1])
 
 
 def liouville_i64(n: int) -> np.ndarray:
-    return _multiplicative(n, RULES["liouville_lambda"])
+    return _multiplicative(n, RULES["liouville_lambda"][1])
 
 
 def sigma_i64(n: int, k: int) -> np.ndarray:

@@ -8,10 +8,11 @@ import math
 from . import kernels
 
 # Witnesses proving primality for every n < _MR_PROOF_LIMIT (Sorenson &
-# Webster); the limit itself is the least strong pseudoprime to all twelve,
-# and beyond it the test is strong-probable-prime only.
+# Webster 2015, OEIS A014233): the limit is psi_12, the least strong
+# pseudoprime to all twelve bases, and from it on the test is
+# strong-probable-prime only.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROOF_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_PROOF_LIMIT = 318_665_857_834_031_151_167_461
 
 _prime_cache: list[int] = []
 _prime_cache_limit = 0

@@ -43,10 +43,12 @@ def test_smallest_prime_factor_of_a_prime_builds_no_sieve(monkeypatch):
 
 
 def test_smallest_prime_factor_trusts_is_prime_only_below_its_proof_bound(monkeypatch):
-    # the least strong pseudoprime to all twelve bases, 1287836182261 *
-    # 2575672364521: is_prime wrongly accepts it, so it must go to the sieve
-    psi12 = 3317044064679887385961981
-    assert numutil.is_prime(psi12)
+    # psi_12 = 399165290221 * 798330580441 is the least strong pseudoprime to
+    # all twelve bases and psi_13 = 1287836182261 * 2575672364521 the least
+    # one to those and 41: is_prime wrongly accepts both, so they must sieve
+    psi12 = 318665857834031151167461
+    psi13 = 3317044064679887385961981
+    assert numutil._MR_PROOF_LIMIT == psi12
     primes_upto = numutil._primes_upto
 
     def no_large_sieve(limit):
@@ -55,10 +57,12 @@ def test_smallest_prime_factor_trusts_is_prime_only_below_its_proof_bound(monkey
         return primes_upto(limit)
 
     monkeypatch.setattr(numutil, "_primes_upto", no_large_sieve)
-    p = 3317044064679887385961813  # the largest prime below psi12
+    p = 318665857834031151167441  # the largest prime below psi12
     assert numutil.smallest_prime_factor(p) == p
-    with pytest.raises(MemoryError):
-        numutil.smallest_prime_factor(psi12)
+    for n in (psi12, psi13):
+        assert numutil.is_prime(n)
+        with pytest.raises(MemoryError):
+            numutil.smallest_prime_factor(n)
 
 
 def test_factorize_and_divisors():
