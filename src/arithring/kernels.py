@@ -3,7 +3,10 @@
 The kernels are vectorised numpy.  Convolution uses Dirichlet's hyperbola
 split, about 2*sqrt(n) strided passes; the multiplicative sieve makes one
 strided pass per prime up to sqrt(n), and over ``dtype=object`` it is the
-exact big-int route.
+exact big-int route.  Products too wide for the gate also run on
+:func:`convolve_i64`: ``ring`` reduces them modulo primes p whose residues
+pass :func:`convolution_fits_i64` with max_a = max_b = p - 1, one kernel
+call per prime, and rebuilds the exact values from the residues.
 
 Select the route with the ``ARITHRING_BACKEND`` environment variable
 (``numpy`` or ``python``) or at runtime via :func:`set_backend`.  The

@@ -12,9 +12,14 @@ under the ring operations.  Mixed-bound operands truncate to the smaller
 bound.  All values are immutable; operations are pure functions.
 
 Products are Dirichlet convolution, (f * g)(n) = sum of f(d) g(n/d) over
-divisor pairs d * (n/d) = n.  Over ``Domain.Z`` the convolution is routed
-through the int64 kernels in :mod:`arithring.kernels` whenever overflow is
-provably impossible; otherwise an exact big-int divisor-pair loop runs.
+divisor pairs d * (n/d) = n.  Over ``Domain.Z`` a product runs on the int64
+kernel in :mod:`arithring.kernels`: directly when the overflow gate proves
+it exact, and otherwise once per prime on residues modulo a few primes
+below 2**31, rebuilt by the Chinese remainder theorem (Garner's
+mixed-radix step; von zur Gathen & Gerhard, *Modern Computer Algebra*,
+ch. 5).  The exact big-int divisor-pair loop runs where the CRT costs
+more: small bounds, a sparse operand, operands needing more than
+``_CRT_MAX_PRIMES`` primes, and the ``python`` backend.
 
 ``Domain.Q`` arithmetic runs over the same integer routes: each operand is
 written f = F / L with L the lcm of its denominators and F integral, so
@@ -25,11 +30,17 @@ solve runs over Z when the divisor's integral leading value B(r) is +-1;
 other leading values keep the ``Fraction`` solve.  A common denominator
 wider than 64 bits (``_MAX_SCALE_BITS``; f(n) = 1/n has L = lcm(1..N))
 would make every F value as wide as L, so such operands keep the
-``Fraction`` loops too.
+``Fraction`` loops too.  Over Z a divisor of rank 1, whatever its leading
+value, is solved in doubling blocks (m, 2m], each block one product on
+the routes above (a relaxed solve; van der Hoeven, "Relax, but don't be
+too lazy", JSC 2002).  Divisors of higher rank, the ``Fraction`` solve
+and the ``python`` backend keep the sequential solve.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -39,7 +50,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import kernels
+from . import kernels, numutil
 
 Coefficient = Union[int, Fraction]
 
@@ -348,48 +359,183 @@ def _rational(ints: Sequence[int], scale: Fraction) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _try_convolve_i64(a: Sequence[int], b: Sequence[int], n: int):
-    """int64 kernel route for Domain.Z; None when safety cannot be proven."""
-    if not kernels.int64_paths_enabled():
-        return None
+def _pack(values: Sequence[int], n: int):
+    """(values as a 1-indexed int64 array, or None when one does not fit; max |value|)."""
+    arr = np.zeros(n + 1, np.int64)
     try:
-        arr_a = np.zeros(n + 1, np.int64)
-        arr_a[1:] = np.fromiter(a, np.int64, count=n)
-        arr_b = np.zeros(n + 1, np.int64)
-        arr_b[1:] = np.fromiter(b, np.int64, count=n)
+        arr[1:] = np.fromiter(values, np.int64, count=n)
     except OverflowError:
-        return None
-    max_a = max(abs(int(arr_a.max())), abs(int(arr_a.min())))
-    max_b = max(abs(int(arr_b.max())), abs(int(arr_b.min())))
-    if not kernels.convolution_fits_i64(max_a, max_b, n):
-        return None
-    return tuple(kernels.convolve_i64(arr_a, arr_b)[1:].tolist())
+        return None, max(max(values), -min(values))
+    return arr, max(abs(int(arr.max())), abs(int(arr.min())))
 
 
-def _convolve_exact(a: Sequence, b: Sequence, n: int, zero: Coefficient) -> tuple:
-    out = [zero] * n
-    for i in range(n):
-        av = a[i]
-        if not av:
-            continue
-        d = i + 1
-        for j in range(n // d):
-            bv = b[j]
+def _try_convolve_i64(pa, pb, n: int, lo: int = 0):
+    """The int64 kernel's product of two packed operands at lo+1..n; None when the gate fails."""
+    (arr_a, max_a), (arr_b, max_b) = pa, pb
+    if arr_a is None or arr_b is None or not kernels.convolution_fits_i64(max_a, max_b, n):
+        return None
+    return tuple(kernels.convolve_i64(arr_a, arr_b)[lo + 1 :].tolist())
+
+
+def _outer_first(a: Sequence, b: Sequence) -> tuple:
+    """(a, b) ordered so that the operand with fewer nonzero values comes first."""
+    return (b, a) if b.count(0) > a.count(0) else (a, b)
+
+
+def _pairs(outer: Sequence, arr: Optional[np.ndarray], n: int) -> int:
+    """Divisor pairs the exact loop visits with `outer` outside: n // d per nonzero outer(d).
+
+    `arr` is outer packed by :func:`_pack`, or None.
+    """
+    if arr is not None:
+        return int((n // np.flatnonzero(arr)).sum())
+    return sum(map(n.__floordiv__, itertools.compress(range(1, n + 1), outer)))
+
+
+def _convolve_exact(a: Sequence, b: Sequence, n: int, zero: Coefficient, lo: int = 0) -> tuple:
+    """(a * b)(lo+1..n) by the divisor-pair loop, the sparser operand outside."""
+    return _exact_loop(*_outer_first(a, b), n, zero, lo)
+
+
+def _exact_loop(outer: Sequence, inner: Sequence, n: int, zero: Coefficient, lo: int) -> tuple:
+    """(outer * inner)(lo+1..n): each nonzero outer(d) times inner(j) lands at d * j."""
+    out = [zero] * (n - lo)
+    for d in itertools.compress(range(1, n + 1), outer):
+        av = outer[d - 1]
+        first = lo // d  # inner[first] makes the first product past lo
+        for at, bv in zip(range((first + 1) * d - 1 - lo, n - lo, d), inner[first : n // d]):
             if bv:
-                out[d * (j + 1) - 1] += av * bv
+                out[at] += av * bv
     return tuple(out)
 
 
-def _convolve_z(a: Sequence[int], b: Sequence[int], n: int) -> tuple:
-    fast = _try_convolve_i64(a, b, n)
-    return fast if fast is not None else _convolve_exact(a, b, n, 0)
+# The CRT route takes at most this many primes.  Measured at N = 80 000,
+# dense operands, it beats the exact loop up to 13 primes (160-bit values)
+# and loses from 16 (200-bit values), where the Python residue pass per
+# prime costs more than the big-int products it replaces.
+_CRT_MAX_PRIMES = 16
+# Per prime, the CRT route makes the kernel's 2 * isqrt(n) strided passes
+# and O(n) element work; one pass costs about this many divisor pairs of
+# the exact loop (measured crossover, see :func:`_convolve_z`).
+_CRT_PASS_PAIRS = 8
+# Values rebuilt per Python pass, so the temporary lists stay small.
+_REBUILD_CHUNK = 1 << 14
+
+
+@functools.cache
+def _crt_prime(h: int, i: int) -> int:
+    """The (i + 1)-th largest prime below 2**h, by primality proof."""
+    p = (1 << h if i == 0 else _crt_prime(h, i - 1)) - 1
+    while not numutil.is_prime(p):
+        p -= 1
+    return p
+
+
+def _crt_primes(n: int, bound: int) -> Optional[list]:
+    """The fewest primes whose product exceeds 2 * bound, each below 2**h.
+
+    h = (62 - bits(2 * isqrt(n))) // 2, so (p - 1)**2 * 2 * isqrt(n) < 2**62
+    and every residue product passes the int64 gate.  None when more than
+    _CRT_MAX_PRIMES are needed.  Each prime is found the first time it is
+    needed, never at import, and then cached.
+    """
+    h = (62 - (2 * math.isqrt(n)).bit_length()) // 2
+    primes, product = [], 1
+    while product <= 2 * bound:
+        if len(primes) == _CRT_MAX_PRIMES:
+            return None
+        primes.append(_crt_prime(h, len(primes)))
+        product *= primes[-1]
+    return primes
+
+
+def _residues(packed, values: Sequence[int], p: int, n: int) -> np.ndarray:
+    """values mod p as a 1-indexed int64 array; `packed` is values by :func:`_pack`."""
+    arr = packed[0]
+    if arr is not None:
+        return arr % p
+    out = np.zeros(n + 1, np.int64)
+    out[1:] = np.fromiter(map(p.__rmod__, values), np.int64, count=n)
+    return out
+
+
+def _convolve_crt(a, b, pa, pb, n: int, bound: int, primes: list, lo: int) -> tuple:
+    """a * b at lo+1..n from its residues modulo `primes`, whose product exceeds 2 * bound.
+
+    Each output x lies in [-bound, bound], so y = x + bound lies in
+    [0, 2 * bound] and is fixed by its residues.  Garner's step writes y
+    in mixed radix, y = v0 + p0 (v1 + p1 (v2 + ...)), every digit in
+    int64.  Digit pairs form words below 2**62, bound's own mixed-radix
+    words are subtracted from them, and one Python pass per word boundary
+    rebuilds the values, a chunk at a time to bound the lists alive.
+    """
+    digits = []
+    for p in primes:
+        y = kernels.convolve_i64(_residues(pa, a, p, n), _residues(pb, b, p, n))[lo + 1 :]
+        y += bound % p
+        y %= p
+        for q, v in zip(primes, digits):
+            y -= v
+            y *= pow(q, -1, p)
+            y %= p
+        digits.append(y)
+    words, radices = [], []  # in place: each word reuses its high digit's array
+    for j in range(0, len(primes), 2):
+        word, radix = digits[j], primes[j]
+        if j + 1 < len(primes):
+            word = digits[j + 1]
+            word *= radix
+            word += digits[j]
+            radix *= primes[j + 1]
+        words.append(word)
+        radices.append(radix)
+    del digits
+    rest = bound
+    for word, radix in zip(words, radices):
+        word -= rest % radix
+        rest //= radix
+    chunks = []
+    for start in range(0, n - lo, _REBUILD_CHUNK):
+        part = slice(start, start + _REBUILD_CHUNK)
+        values = words[-1][part].tolist()
+        for word, radix in zip(words[-2::-1], radices[-2::-1]):
+            values = list(map(operator.add, map(radix.__mul__, values), word[part].tolist()))
+        chunks.append(values)
+    return tuple(itertools.chain.from_iterable(chunks))
+
+
+def _convolve_z(a: Sequence[int], b: Sequence[int], n: int, lo: int = 0) -> tuple:
+    """(a * b)(lo+1..n) over Z on the cheapest route that is exact.
+
+    The int64 kernel when the gate passes.  Otherwise the kernel modulo k
+    primes with a CRT rebuild (:func:`_convolve_crt`), unless more than
+    _CRT_MAX_PRIMES primes are needed or the exact loop visits no more
+    divisor pairs than k * (n + _CRT_PASS_PAIRS * 2 * isqrt(n)), which is
+    where it is cheaper: small n, or an operand with few nonzero values.
+    """
+    if not kernels.int64_paths_enabled():
+        return _convolve_exact(a, b, n, 0, lo)
+    pa, pb = _pack(a, n), _pack(b, n)
+    fast = _try_convolve_i64(pa, pb, n, lo)
+    if fast is not None:
+        return fast
+    bound = pa[1] * pb[1] * 2 * math.isqrt(n)
+    primes = _crt_primes(n, bound)
+    outer, inner = _outer_first(a, b)
+    if primes is None or _pairs(outer, (pa if outer is a else pb)[0], n) <= len(primes) * (
+        n + _CRT_PASS_PAIRS * 2 * math.isqrt(n)
+    ):
+        return _exact_loop(outer, inner, n, 0, lo)
+    return _convolve_crt(a, b, pa, pb, n, bound, primes, lo)
 
 
 def convolve(f: ArithFunc, g: ArithFunc) -> ArithFunc:
-    """Dirichlet product at the common bound, by divisor-pair iteration.
+    """Dirichlet product at the common bound.
 
-    Total work is sum of tau(n) for n <= N (about N log N), never
-    per-index trial division.  Over Domain.Q the product is
+    Over Domain.Z the route is picked by :func:`_convolve_z`: the int64
+    kernel, the kernel modulo primes with a CRT rebuild, or the
+    divisor-pair loop, whose work is the sum of tau(n) for n <= N (about
+    N log N), never per-index trial division.  Over Domain.Q the product is
     (F * G) / (L_f L_g) with F * G on the Z route, unless a common
     denominator passes _MAX_SCALE_BITS bits; then the Fraction loop runs.
     """
@@ -445,21 +591,69 @@ def _divide_solve(a: Sequence, b: Sequence, n: int, lead_idx: int, domain: Domai
     return tuple(g[1:]) + (zero,) * (n - solve_top), None
 
 
-def _solve(a: Sequence, b: Sequence, n: int, lead_idx: int, domain: Domain):
+def _block_solve(a: Sequence[int], b: Sequence[int], n: int):
+    """Solve b * g = a over Z for b of rank 1, in blocks (m, 2m].
+
+    On (m, 2m] every divisor d >= 2 of an index leaves a cofactor at most
+    m, so g there needs g only on 1..m: one product of b without b(1) and
+    g(1..m), at bound 2m, gives a - (b - b(1) epsilon) * g on the block,
+    and dividing by b(1) solves it.  The first index whose division leaves
+    a remainder is the witness, the index :func:`_divide_solve` returns.
+    """
+    lead = b[0]
+    rest = (0, *b[1:n])
+    g: list = []
+    m = 0
+    while m < n:
+        top = min(2 * m, n) or 1
+        res = a[m:top]
+        if m:
+            below = _convolve_z(rest[:top], g + [0] * (top - m), top, m)
+            res = list(map(operator.sub, res, below))
+        if lead == 1:
+            g += res
+        elif lead == -1:
+            g += map(operator.neg, res)
+        else:
+            for idx, x in enumerate(res, m + 1):
+                q, r = divmod(x, lead)
+                if r:
+                    return None, idx
+                g.append(q)
+        m = top
+    return tuple(g), None
+
+
+def _solve_z(a: Sequence[int], b: Sequence[int], n: int, lead_idx: int):
+    """Solve b * g = a over Z: in blocks for rank 1, sequentially otherwise."""
+    if lead_idx == 1 and kernels.int64_paths_enabled():
+        return _block_solve(a, b, n)
+    return _divide_solve(a, b, n, lead_idx, Domain.Z)
+
+
+def _solve(a: Optional[Sequence], b: Sequence, n: int, lead_idx: int, domain: Domain):
     """Solve b * g = a at bound n on the route the operands allow.
 
     Returns (quotient values, None) or (None, witness), as :func:`_divide_solve`.
+    `a` None stands for epsilon, which is integral with L = 1 and so needs
+    no pass over its values.
 
     Over Domain.Q with a = A / L_a, b = B / L_b and B(lead_idx) = +-1, the
     quotient is (L_b / L_a) * q for the Z quotient q of A by B, with the
     same witness (L_a and L_b at most _MAX_SCALE_BITS bits).  Any other
     operands are solved in their own domain.
     """
-    lb = _unit_denominator(b, lead_idx - 1) if domain is Domain.Q else None
-    la = _denominator(a) if lb is not None else None
+    eps = a is None
+    if eps:
+        a = _indicator(1, n, domain)
+    if domain is Domain.Z:
+        return _solve_z(a, b, n, lead_idx)
+    lb = _unit_denominator(b, lead_idx - 1)
+    la = None if lb is None else 1 if eps else _denominator(a)
     if la is None:
         return _divide_solve(a, b, n, lead_idx, domain)
-    q, witness = _divide_solve(_scaled(a, la), _scaled(b, lb), n, lead_idx, Domain.Z)
+    ints = _indicator(1, n, Domain.Z) if eps else _scaled(a, la)
+    q, witness = _solve_z(ints, _scaled(b, lb), n, lead_idx)
     if q is None:
         return None, witness
     return _rational(q, Fraction(lb, la)), None
@@ -476,7 +670,7 @@ def inverse(f: ArithFunc) -> ArithFunc:
     if not is_unit(f):
         raise NotAUnit(f"leading value {f.values[0]} is not invertible in {f.domain.value}")
     n = len(f.values)
-    g, _ = _solve(_indicator(1, n, f.domain), f.values, n, 1, f.domain)
+    g, _ = _solve(None, f.values, n, 1, f.domain)
     return ArithFunc(f.domain, g)
 
 
@@ -489,7 +683,8 @@ def divide(num: ArithFunc, den: ArithFunc) -> DivisionResult:
     or the first failing index as the non-divisibility witness.  A zero
     numerator is divisible with the zero quotient.  Over Domain.Q the
     solve runs over Z when den's integral leading value is +-1 (see
-    :func:`_solve`).
+    :func:`_solve`); over Z a divisor of rank 1 is solved in blocks (see
+    :func:`_block_solve`).
     """
     n = _common(num, den)
     a = num.values[:n]
@@ -507,7 +702,9 @@ def are_associates(f: ArithFunc, g: ArithFunc) -> bool:
     """True when f and g divide each other at the common bound.
 
     Decided by one division: f and g are associates exactly when their
-    ranks are equal and g divides f with a unit quotient.
+    ranks are equal and g divides f with a unit quotient.  Over Z a unit
+    has leading value +-1, so leading values of unequal magnitude are
+    rejected before dividing.
     """
     n = _common(f, g)
     fa = restrict(f, n)
@@ -516,6 +713,9 @@ def are_associates(f: ArithFunc, g: ArithFunc) -> bool:
     if not rf.visible or not rg.visible:
         return rf.visible == rg.visible  # two zero functions are associates
     if rf.index != rg.index:
+        return False
+    # a unit quotient has lead +-1 over Z, so the leads must agree up to sign
+    if f.domain is Domain.Z and abs(rf.leading) != abs(rg.leading):
         return False
     forward = divide(fa, ga)
     return forward.divisible and is_unit(forward.quotient)

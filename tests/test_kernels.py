@@ -114,14 +114,17 @@ def test_sieves_match_exact(n):
     ]
 
 
-def test_python_backend_disables_int64_paths(rng):
+def test_python_backend_disables_int64_paths(rng, monkeypatch):
     f = make([rng.randint(-9, 9) for _ in range(60)], Domain.Z)
     g = make([rng.randint(-9, 9) for _ in range(60)], Domain.Z)
     fast = convolve(f, g)
+    calls = []
+    kernel = kernels.convolve_i64
+    monkeypatch.setattr(kernels, "convolve_i64", lambda a, b: calls.append(a) or kernel(a, b))
     with kernels.use_backend("python"):
         assert not kernels.int64_paths_enabled()
-        assert ring._try_convolve_i64(f.values, g.values, 60) is None
         exact = convolve(f, g)
+    assert calls == []
     assert fast == exact
 
 
@@ -165,7 +168,7 @@ def test_convolve_just_inside_gate_with_negative_extremes(n):
     max_a = (kernels.I64_SAFE - 1) // (2 * math.isqrt(n))
     f = make([-max_a] * n, Domain.Z)
     g = make([1] * n, Domain.Z)
-    assert ring._try_convolve_i64(f.values, g.values, n) is not None
+    assert ring._try_convolve_i64(ring._pack(f.values, n), ring._pack(g.values, n), n) is not None
     got = convolve(f, g)
     with kernels.use_backend("python"):
         assert got == convolve(f, g)
@@ -176,7 +179,7 @@ def test_convolve_just_inside_gate_with_negative_extremes(n):
 def test_out_of_gate_values_fall_back_to_exact(extreme):
     f = make([extreme, 1, -1, 0, 5, 7], Domain.Z)
     g = make([2, 3, 0, -4, 1, 1], Domain.Z)
-    assert ring._try_convolve_i64(f.values, g.values, 6) is None
+    assert ring._try_convolve_i64(ring._pack(f.values, 6), ring._pack(g.values, 6), 6) is None
     got = convolve(f, g)
     assert got.values == ring._convolve_exact(f.values, g.values, 6, 0)
     assert got[1] == 2 * extreme

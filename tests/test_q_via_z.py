@@ -155,15 +155,21 @@ def test_divide_matches_fraction_solve(backend, data):
 
 
 def test_leads_pick_the_route(monkeypatch):
-    """+-1/L leads take the Z solve, a lead such as 2/3 the Fraction solve."""
+    """+-1/L leads take the Z solves, a lead such as 2/3 the Fraction solve.
+
+    Over Z the rank-1 inverse is solved in blocks and the rank-2 division
+    sequentially.
+    """
     route = _route_of(monkeypatch, "_divide_solve")
+    blocks = _route_of(monkeypatch, "_block_solve")  # records the bound
     rest = [Fraction(1, 2), Fraction(-3, 5), Fraction(0), Fraction(4, 7)]
     for lead, domain in ((Fraction(1, 70), Z), (Fraction(-1, 140), Z), (Fraction(2, 3), Q)):
         f = make([lead] + rest, Q)
         inverse(f)
         divide(make([0] + rest, Q), make([0, lead] + rest, Q))
-        assert route == [domain, domain]
+        assert (blocks, route) == (([5], [Z]) if domain is Z else ([], [Q, Q]))
         route.clear()
+        blocks.clear()
 
 
 @pytest.fixture
@@ -244,6 +250,7 @@ def test_scale_width_bound(scalings):
         assert convolve(f, f).values == oracle
         assert inverse(f).values == _fraction_inverse(f)
         assert divide(f, f).quotient == epsilon(4, Q)
-        # two operands in convolve, epsilon (L = 1) and f in inverse, two in divide
-        assert scalings == ([den, den, 1, den, den, den] if scaled else [])
+        # two operands in convolve, f alone in inverse (epsilon is integral
+        # already), two in divide
+        assert scalings == ([den] * 5 if scaled else [])
         scalings.clear()
