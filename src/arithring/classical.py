@@ -137,7 +137,11 @@ class IdentityReport:
 
 
 def _first_mismatch(f: ArithFunc, g: ArithFunc) -> Optional[int]:
-    for i, (x, y) in enumerate(zip(f.values, g.values), 1):
+    """First index where f and g differ: on F over one denominator, else on values."""
+    if f == g:
+        return None
+    a, b = (f._num, g._num) if f._den == g._den else (f.values, g.values)
+    for i, (x, y) in enumerate(zip(a, b), 1):
         if x != y:
             return i
     return None

@@ -37,6 +37,7 @@ from .ring import (
     convolve,
     is_unit,
     rank,
+    restrict,
 )
 
 
@@ -90,7 +91,7 @@ def certify(f: ArithFunc) -> Certificate:
         return Certificate(Verdict.ZERO)
     if is_unit(f):
         return Certificate(Verdict.UNIT)
-    if f.values[0] == 0:
+    if f._num[0] == 0:
         hit = _prime_support(f)
         if hit is not None:
             return Certificate(Verdict.IRREDUCIBLE, Reason(PRIME_SUPPORT, hit))
@@ -100,7 +101,7 @@ def certify(f: ArithFunc) -> Certificate:
     if f.domain is Domain.Q and r.index > 1 and numutil.is_prime(r.index):
         return Certificate(Verdict.IRREDUCIBLE, Reason(PRIME_RANK, r.index))
     if f.domain is Domain.Z:
-        magnitude = abs(int(f.values[0]))
+        magnitude = abs(int(f._num[0]))
         if magnitude >= 2 and numutil.is_prime(magnitude):
             return Certificate(
                 Verdict.IRREDUCIBLE, Reason(PRIME_LEADING_MAGNITUDE, magnitude)
@@ -113,7 +114,7 @@ def _prime_support(f: ArithFunc) -> Optional[int]:
     mask = primes_mask(f.bound)
     first = None
     for p in range(2, f.bound + 1):
-        if mask[p] and f.values[p - 1]:
+        if mask[p] and f._num[p - 1]:
             first = p
             break
     if first is None:
@@ -122,7 +123,7 @@ def _prime_support(f: ArithFunc) -> Optional[int]:
         g = 0
         for p in range(first, f.bound + 1):
             if mask[p]:
-                g = math.gcd(g, int(f.values[p - 1]))
+                g = math.gcd(g, int(f._num[p - 1]))
                 if g == 1:
                     break
         if g != 1:
@@ -144,7 +145,7 @@ def witness_reducible(f: ArithFunc, left: ArithFunc, right: ArithFunc) -> Certif
     product = convolve(left, right)
     if product.bound < f.bound:
         raise ValueError("witness factors must cover the target's bound")
-    if product.values[: f.bound] != f.values:
+    if restrict(product, f.bound) != f:
         raise ValueError("witness product does not reproduce the target at bound")
     return Certificate(Verdict.REDUCIBLE, witness=(left, right))
 

@@ -11,30 +11,34 @@ index n consults only indices dividing n, so truncation to 1..N is closed
 under the ring operations.  Mixed-bound operands truncate to the smaller
 bound.  All values are immutable; operations are pure functions.
 
-Products are Dirichlet convolution, (f * g)(n) = sum of f(d) g(n/d) over
-divisor pairs d * (n/d) = n.  Over ``Domain.Z`` a product runs on the int64
-kernel in :mod:`arithring.kernels`: directly when the overflow gate proves
-it exact, and otherwise once per prime on residues modulo a few primes
-below 2**31, rebuilt by the Chinese remainder theorem (Garner's
-mixed-radix step; von zur Gathen & Gerhard, *Modern Computer Algebra*,
-ch. 5).  The exact big-int divisor-pair loop runs where the CRT costs
-more: small bounds, a sparse operand, operands needing more than
-``_CRT_MAX_PRIMES`` primes, and the ``python`` backend.
+A function stores what the routes compute on, as FLINT's ``fmpq_poly``
+does: integers F over their least common denominator L, f = F / L.  Over
+``Domain.Z`` L is 1, and embedding Z in Q is a retag that shares F.  The
+``values`` tuple (``Fraction``s over Q) is built on first read and
+cached.  A least L wider than 64 bits (``_MAX_SCALE_BITS``; f(n) = 1/n has
+L = lcm(1..N)) would make every F value as wide as L, so such a function
+stores its ``Fraction``s and no L.
 
-``Domain.Q`` arithmetic runs over the same integer routes: each operand is
-written f = F / L with L the lcm of its denominators and F integral, so
-f * g = (F * G) / (L_f L_g), and the int64 gate applies to the scaled
-integers F and G.  There is one triangular solve: the inverse of f is the
-quotient of epsilon by f, and one rule picks its route for both.  A Q
-solve runs over Z when the divisor's integral leading value B(r) is +-1;
-other leading values keep the ``Fraction`` solve.  A common denominator
-wider than 64 bits (``_MAX_SCALE_BITS``; f(n) = 1/n has L = lcm(1..N))
-would make every F value as wide as L, so such operands keep the
-``Fraction`` loops too.  Over Z a divisor of rank 1, whatever its leading
-value, is solved in doubling blocks (m, 2m], each block one product on
-the routes above (a relaxed solve; van der Hoeven, "Relax, but don't be
-too lazy", JSC 2002).  Divisors of higher rank, the ``Fraction`` solve
-and the ``python`` backend keep the sequential solve.
+Products are Dirichlet convolution, (f * g)(n) = sum of f(d) g(n/d) over
+divisor pairs d * (n/d) = n, and f * g = (F * G) / (L_f L_g), so both
+domains run F * G on one integer route: the int64 kernel in
+:mod:`arithring.kernels` directly when the overflow gate proves it exact,
+and otherwise once per prime on residues modulo a few primes below 2**31,
+rebuilt by the Chinese remainder theorem (Garner's mixed-radix step;
+von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5).  The exact
+big-int divisor-pair loop runs where the CRT costs more: small bounds, a
+sparse operand, operands needing more than ``_CRT_MAX_PRIMES`` primes, and
+the ``python`` backend.
+
+There is one triangular solve: the inverse of f is the quotient of epsilon
+by f, and one rule picks its route for both.  A Q solve runs over Z on F
+when the divisor's leading value is +-1/L.  The ``Fraction`` loops remain
+only for an L wider than 64 bits and for Q leads other than +-1/L.  Over
+Z a divisor of rank 1, whatever its leading value, is solved in doubling
+blocks (m, 2m], each block one product on the routes above (a relaxed
+solve; van der Hoeven, "Relax, but don't be too lazy", JSC 2002).
+Divisors of higher rank, the ``Fraction`` solve and the ``python`` backend
+keep the sequential solve.
 """
 
 from __future__ import annotations
@@ -80,10 +84,6 @@ class NotAUnit(RingError):
 
 class NoVisibleRank(RingError):
     """The operation needs a least nonzero index but the function is zero at bound."""
-
-
-def _zero(domain: Domain) -> Coefficient:
-    return Fraction(0) if domain is Domain.Q else 0
 
 
 def _coerce(value, domain: Domain) -> Coefficient:
@@ -135,26 +135,61 @@ NOT_VISIBLE = Rank(None, None)
 
 @dataclass(frozen=True)
 class ArithFunc:
-    """Arithmetic function truncated to indices 1..N, exact values."""
+    """Arithmetic function truncated to indices 1..N, exact values.
+
+    f(n) = _num[n - 1] / _den, with _den the least common denominator (1
+    over Z), or None over Q when it passes _MAX_SCALE_BITS bits; then
+    _num holds the Fractions.  ``ArithFunc(domain, values)`` finds the
+    store of `values`; ``ArithFunc(domain, ints, den)`` divides out
+    gcd(den, *ints).  The store is canonical, so the generated ``==`` and
+    ``hash`` compare values.
+    """
 
     domain: Domain
-    values: tuple
+    _num: tuple
+    _den: Optional[int] = None
 
     def __post_init__(self):
-        if not self.values:
+        num, den = self._num, self._den
+        if not num:
             raise ValueError("an arithmetic function needs at least one value")
+        if self.domain is Domain.Z:
+            den = 1
+        elif den is None:  # `num` holds the values
+            den = _denominator(num)
+            if den == 1:
+                num = tuple([v.numerator for v in num])
+            elif den is not None:
+                num = _scaled(num, den)
+        elif den != 1:
+            common = math.gcd(den, *num)
+            if common != 1:
+                num, den = tuple([v // common for v in num]), den // common
+            if den.bit_length() > _MAX_SCALE_BITS:
+                num, den = _rational(num, den), None
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+
+    @functools.cached_property
+    def values(self) -> tuple:
+        """f(1), ..., f(N): ints over Z, Fractions over Q."""
+        if self.domain is Domain.Z or self._den is None:
+            return self._num
+        return _rational(self._num, self._den)
 
     @property
     def bound(self) -> int:
-        return len(self.values)
+        return len(self._num)
 
     def __getitem__(self, n: int) -> Coefficient:
-        if not 1 <= n <= len(self.values):
-            raise IndexError(f"index {n} outside 1..{len(self.values)}")
-        return self.values[n - 1]
+        if not 1 <= n <= len(self._num):
+            raise IndexError(f"index {n} outside 1..{len(self._num)}")
+        if self.domain is Domain.Z or self._den is None:
+            return self._num[n - 1]
+        return Fraction(self._num[n - 1], self._den)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._num)
 
     def __iter__(self):
         return iter(self.values)
@@ -177,9 +212,9 @@ class ArithFunc:
         return scale(self, other)
 
     def __repr__(self) -> str:
-        head = ", ".join(str(v) for v in self.values[:8])
-        tail = ", ..." if len(self.values) > 8 else ""
-        return f"ArithFunc({self.domain.value}, N={len(self.values)}, [{head}{tail}])"
+        head = ", ".join(str(self[n]) for n in range(1, min(len(self), 8) + 1))
+        tail = ", ..." if len(self) > 8 else ""
+        return f"ArithFunc({self.domain.value}, N={len(self)}, [{head}{tail}])"
 
 
 @dataclass(frozen=True)
@@ -203,22 +238,21 @@ def make(values: Iterable, domain: Domain = Domain.Q) -> ArithFunc:
     return ArithFunc(domain, vals)
 
 
-def _indicator(r: int, bound: int, domain: Domain) -> tuple:
-    """The values 1 at index r, 0 elsewhere, on 1..bound."""
-    z, o = _zero(domain), _coerce(1, domain)
-    return (z,) * (r - 1) + (o,) + (z,) * (bound - r)
+def _indicator(r: int, bound: int) -> tuple:
+    """The integers 1 at index r, 0 elsewhere, on 1..bound."""
+    return (0,) * (r - 1) + (1,) + (0,) * (bound - r)
 
 
 def epsilon(bound: int, domain: Domain = Domain.Q) -> ArithFunc:
     """Convolution identity: 1 at index 1, 0 elsewhere."""
     _check_bound(bound)
-    return ArithFunc(domain, _indicator(1, bound, domain))
+    return ArithFunc(domain, _indicator(1, bound), 1)
 
 
 def omega(bound: int, domain: Domain = Domain.Q) -> ArithFunc:
     """Additive identity: the all-zero function."""
     _check_bound(bound)
-    return ArithFunc(domain, (_zero(domain),) * bound)
+    return ArithFunc(domain, (0,) * bound, 1)
 
 
 def nu(r: int, bound: int, domain: Domain = Domain.Q) -> ArithFunc:
@@ -226,15 +260,15 @@ def nu(r: int, bound: int, domain: Domain = Domain.Q) -> ArithFunc:
     _check_bound(bound)
     if not 1 <= r <= bound:
         raise ValueError(f"nu index {r} outside 1..{bound}")
-    return ArithFunc(domain, _indicator(r, bound, domain))
+    return ArithFunc(domain, _indicator(r, bound), 1)
 
 
 def with_domain(f: ArithFunc, domain: Domain) -> ArithFunc:
-    """Re-tag f into `domain` (Z embeds in Q; Q needs integer values for Z)."""
+    """Re-tag f into `domain`, sharing F: Z embeds in Q; Q to Z needs L = 1."""
     if f.domain is domain:
         return f
-    if domain is Domain.Q:  # Z values are exact ints: nothing to validate
-        return ArithFunc(domain, tuple(map(Fraction, f.values)))
+    if domain is Domain.Q or f._den == 1:
+        return ArithFunc(domain, f._num, 1)
     return ArithFunc(domain, tuple(_coerce(v, domain) for v in f.values))
 
 
@@ -246,7 +280,7 @@ def _check_bound(bound: int) -> None:
 def _common(f: ArithFunc, g: ArithFunc) -> int:
     if f.domain is not g.domain:
         raise DomainMismatch(f"{f.domain.value} vs {g.domain.value}")
-    return min(len(f.values), len(g.values))
+    return min(len(f), len(g))
 
 
 def add(f: ArithFunc, g: ArithFunc) -> ArithFunc:
@@ -262,22 +296,24 @@ def scale(f: ArithFunc, c) -> ArithFunc:
 
 def restrict(f: ArithFunc, bound: int) -> ArithFunc:
     """Truncate to the smaller bound 1..M."""
-    if not 1 <= bound <= len(f.values):
-        raise ValueError(f"restriction bound {bound} outside 1..{len(f.values)}")
-    return ArithFunc(f.domain, f.values[:bound])
+    if not 1 <= bound <= len(f._num):
+        raise ValueError(f"restriction bound {bound} outside 1..{len(f._num)}")
+    if bound == len(f._num):
+        return f
+    return ArithFunc(f.domain, f._num[:bound], f._den)
 
 
 def rank(f: ArithFunc) -> Rank:
     """Least n with f(n) != 0, with its leading value; units have rank 1."""
-    for i, v in enumerate(f.values):
+    for i, v in enumerate(f._num):
         if v:
-            return Rank(i + 1, v)
+            return Rank(i + 1, f[i + 1])
     return NOT_VISIBLE
 
 
 def is_unit(f: ArithFunc) -> bool:
     """Over Q: f(1) != 0.  Over Z: f(1) is +1 or -1."""
-    lead = f.values[0]
+    lead = f._num[0]
     if f.domain is Domain.Q:
         return lead != 0
     return lead == 1 or lead == -1
@@ -298,22 +334,20 @@ def monic(f: ArithFunc) -> ArithFunc:
 
 
 # ---------------------------------------------------------------------------
-# Q over Z: f = F / L with integral F
+# The store: f = F / L with integral F
 # ---------------------------------------------------------------------------
 
 
-# Widest common denominator L, in bits, for which Q arithmetic runs as F / L
-# over the Z routes.  Scaling then grows each value by at most one machine
-# word.  A wider L would grow every value with it: f(n) = 1/n has
-# L = lcm(1..N), about 1.44 N bits, so N values of F alone would take
-# O(N^2) bits.  Such inputs keep the Fraction loops, whose terms stay small.
+# Widest least common denominator L, in bits, that a Q function stores;
+# scaling then grows each value by at most one machine word.  A wider L
+# would grow every value with it: f(n) = 1/n has L = lcm(1..N), about
+# 1.44 N bits, so N values of F alone would take O(N^2) bits.  Such
+# functions store Fractions and keep the Fraction loops, whose terms stay small.
 _MAX_SCALE_BITS = 64
 
 
 def _scaled(values: Sequence[Fraction], den: int) -> tuple:
     """The integers den * v for v in values; den is a multiple of each denominator."""
-    if den == 1:
-        return tuple([v.numerator for v in values])
     return tuple([v.numerator * (den // v.denominator) for v in values])
 
 
@@ -330,28 +364,11 @@ def _denominator(values: Sequence[Fraction]) -> Optional[int]:
     return den
 
 
-def _unit_denominator(values: Sequence[Fraction], i: int) -> Optional[int]:
-    """The lcm L of the denominators when F[i] = +-1 for F = L * values, else None.
-
-    F[i] = +-1 exactly when values[i] = +-1/L: its numerator is +-1 and its
-    denominator is a multiple of every other, and then L is that denominator.
-    """
-    den = values[i].denominator
-    if values[i].numerator not in (1, -1) or den.bit_length() > _MAX_SCALE_BITS:
-        return None
-    if not all(den % v.denominator == 0 for v in values):
-        return None
-    return den
-
-
-def _rational(ints: Sequence[int], scale: Fraction) -> tuple:
-    """The Fractions scale * v for v in ints."""
-    num, den = scale.numerator, scale.denominator
-    if den != 1:
-        return tuple(Fraction(num * v, den) for v in ints)
-    if num != 1:
-        ints = [num * v for v in ints]
-    return tuple(map(Fraction, ints))
+def _rational(ints: Sequence[int], den: int) -> tuple:
+    """The Fractions v / den for v in ints."""
+    if den == 1:
+        return tuple(map(Fraction, ints))
+    return tuple(Fraction(v, den) for v in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -530,25 +547,18 @@ def _convolve_z(a: Sequence[int], b: Sequence[int], n: int, lo: int = 0) -> tupl
 
 
 def convolve(f: ArithFunc, g: ArithFunc) -> ArithFunc:
-    """Dirichlet product at the common bound.
+    """Dirichlet product at the common bound: (F * G) / (L_f L_g).
 
-    Over Domain.Z the route is picked by :func:`_convolve_z`: the int64
-    kernel, the kernel modulo primes with a CRT rebuild, or the
-    divisor-pair loop, whose work is the sum of tau(n) for n <= N (about
-    N log N), never per-index trial division.  Over Domain.Q the product is
-    (F * G) / (L_f L_g) with F * G on the Z route, unless a common
-    denominator passes _MAX_SCALE_BITS bits; then the Fraction loop runs.
+    F * G takes the route :func:`_convolve_z` picks: the int64 kernel, the
+    kernel modulo primes with a CRT rebuild, or the divisor-pair loop,
+    whose work is the sum of tau(n) for n <= N (about N log N), never
+    per-index trial division.  An operand that stores no L runs the same
+    loop on Fractions.
     """
     n = _common(f, g)
-    a, b = f.values[:n], g.values[:n]
-    if f.domain is Domain.Z:
-        return ArithFunc(Domain.Z, _convolve_z(a, b, n))
-    la = _denominator(a)
-    lb = _denominator(b) if la is not None else None
-    if lb is None:
-        return ArithFunc(Domain.Q, _convolve_exact(a, b, n, Fraction(0)))
-    ints = _convolve_z(_scaled(a, la), _scaled(b, lb), n)
-    return ArithFunc(Domain.Q, _rational(ints, Fraction(1, la * lb)))
+    if f._den is None or g._den is None:
+        return ArithFunc(f.domain, _convolve_exact(f.values[:n], g.values[:n], n, Fraction(0)))
+    return ArithFunc(f.domain, _convolve_z(f._num[:n], g._num[:n], n), f._den * g._den)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +570,7 @@ def _divide_solve(a: Sequence, b: Sequence, n: int, lead_idx: int, domain: Domai
     """Solve b * g = a over domain; (quotient values, None) or (None, witness)."""
     lead = b[lead_idx - 1]
     solve_top = n // lead_idx
-    zero = _zero(domain)
+    zero = Fraction(0) if domain is Domain.Q else 0
     # exact division by lead is a product over Q, and over Z when lead is +-1
     if domain is Domain.Q:
         inv_lead = Fraction(1) / lead
@@ -631,32 +641,26 @@ def _solve_z(a: Sequence[int], b: Sequence[int], n: int, lead_idx: int):
     return _divide_solve(a, b, n, lead_idx, Domain.Z)
 
 
-def _solve(a: Optional[Sequence], b: Sequence, n: int, lead_idx: int, domain: Domain):
-    """Solve b * g = a at bound n on the route the operands allow.
+def _solve(a: ArithFunc, b: ArithFunc, lead_idx: int):
+    """Solve b * g = a at the common bound; (quotient, None) or (None, witness).
 
-    Returns (quotient values, None) or (None, witness), as :func:`_divide_solve`.
-    `a` None stands for epsilon, which is integral with L = 1 and so needs
-    no pass over its values.
-
-    Over Domain.Q with a = A / L_a, b = B / L_b and B(lead_idx) = +-1, the
-    quotient is (L_b / L_a) * q for the Z quotient q of A by B, with the
-    same witness (L_a and L_b at most _MAX_SCALE_BITS bits).  Any other
-    operands are solved in their own domain.
+    With a = A / L_a and b = B / L_b the quotient is (L_b / L_a) * q for
+    the Z quotient q of A by B, with the same witness.  That runs over Z,
+    and over Q when B(lead_idx) = +-1.  Any other operands are solved on
+    their values by the Fraction solve.
     """
-    eps = a is None
-    if eps:
-        a = _indicator(1, n, domain)
-    if domain is Domain.Z:
-        return _solve_z(a, b, n, lead_idx)
-    lb = _unit_denominator(b, lead_idx - 1)
-    la = None if lb is None else 1 if eps else _denominator(a)
-    if la is None:
-        return _divide_solve(a, b, n, lead_idx, domain)
-    ints = _indicator(1, n, Domain.Z) if eps else _scaled(a, la)
-    q, witness = _solve_z(ints, _scaled(b, lb), n, lead_idx)
-    if q is None:
-        return None, witness
-    return _rational(q, Fraction(lb, la)), None
+    n = _common(a, b)
+    B = b._num[:n]
+    over_z = a.domain is Domain.Z or B[lead_idx - 1] in (1, -1)
+    if over_z and a._den is not None and b._den is not None:
+        q, witness = _solve_z(a._num[:n], B, n, lead_idx)
+        if q is not None and b._den != 1:
+            q = tuple([b._den * v for v in q])
+        den = a._den
+    else:
+        q, witness = _divide_solve(a.values[:n], b.values[:n], n, lead_idx, a.domain)
+        den = None
+    return (None, witness) if q is None else (ArithFunc(a.domain, q, den), None)
 
 
 def inverse(f: ArithFunc) -> ArithFunc:
@@ -668,10 +672,8 @@ def inverse(f: ArithFunc) -> ArithFunc:
     every division is exact.
     """
     if not is_unit(f):
-        raise NotAUnit(f"leading value {f.values[0]} is not invertible in {f.domain.value}")
-    n = len(f.values)
-    g, _ = _solve(None, f.values, n, 1, f.domain)
-    return ArithFunc(f.domain, g)
+        raise NotAUnit(f"leading value {f[1]} is not invertible in {f.domain.value}")
+    return _solve(epsilon(len(f), f.domain), f, 1)[0]
 
 
 def divide(num: ArithFunc, den: ArithFunc) -> DivisionResult:
@@ -682,20 +684,14 @@ def divide(num: ArithFunc, den: ArithFunc) -> DivisionResult:
     index of the residual den * g - num is checked.  Returns the quotient,
     or the first failing index as the non-divisibility witness.  A zero
     numerator is divisible with the zero quotient.  Over Domain.Q the
-    solve runs over Z when den's integral leading value is +-1 (see
+    solve runs over Z when den's leading value is +-1/L (see
     :func:`_solve`); over Z a divisor of rank 1 is solved in blocks (see
     :func:`_block_solve`).
     """
-    n = _common(num, den)
-    a = num.values[:n]
-    b = den.values[:n]
-    rb = rank(ArithFunc(den.domain, b))
+    rb = rank(restrict(den, _common(num, den)))
     if not rb.visible:
         raise NoVisibleRank("divisor is zero at the common bound")
-    q, witness = _solve(a, b, n, rb.index, num.domain)
-    if q is None:
-        return DivisionResult(None, witness)
-    return DivisionResult(ArithFunc(num.domain, q), None)
+    return DivisionResult(*_solve(num, den, rb.index))
 
 
 def are_associates(f: ArithFunc, g: ArithFunc) -> bool:
@@ -707,8 +703,7 @@ def are_associates(f: ArithFunc, g: ArithFunc) -> bool:
     rejected before dividing.
     """
     n = _common(f, g)
-    fa = restrict(f, n)
-    ga = restrict(g, n)
+    fa, ga = restrict(f, n), restrict(g, n)
     rf, rg = rank(fa), rank(ga)
     if not rf.visible or not rg.visible:
         return rf.visible == rg.visible  # two zero functions are associates

@@ -364,8 +364,8 @@ def test_q_solves_run_in_blocks_over_z(monkeypatch):
 
 
 def test_q_inverse_makes_no_pass_over_epsilon(monkeypatch):
-    dens = _spy(monkeypatch, "_denominator")
     f = make([Fraction(1, 12), Fraction(1, 3), Fraction(-1, 4), Fraction(0), Fraction(5, 6)], Q)
+    dens = _spy(monkeypatch, "_denominator")
     g = inverse(f)
     assert dens == []
     with kernels.use_backend("python"):

@@ -1,8 +1,8 @@
 """Q arithmetic through the integer routes, against the Fraction solves.
 
-Over ``Domain.Q``, ``convolve``, ``inverse`` and ``divide`` write each
-operand as F / L (L the lcm of its denominators, F integral) and run the
-``Z`` routes on F.  The oracles are the ``Fraction`` loops those routes
+A ``Domain.Q`` function stores integers F over their least common
+denominator L, and ``convolve``, ``inverse`` and ``divide`` run the ``Z``
+routes on F.  The oracles are the ``Fraction`` loops those routes
 replace, which the library keeps for leading values other than +-1/L and
 for L wider than ``ring._MAX_SCALE_BITS``: ``_convolve_exact`` with a
 ``Fraction`` zero, and ``_divide_solve`` over ``Domain.Q``.  The inverse
@@ -229,7 +229,7 @@ def test_harmonic_keeps_the_fraction_loops(scalings):
     n = 2000
     f = make([Fraction(1, k) for k in range(1, n + 1)], Q)
     assert ring._denominator(f.values) is None
-    assert ring._unit_denominator(f.values, 0) is None
+    assert f._den is None
     product = convolve(f, f)
     assert product.values == ring._convolve_exact(f.values, f.values, n, Fraction(0))
     assert product.values[:6] == tuple(Fraction(t, k) for k, t in enumerate((1, 2, 2, 3, 2, 4), 1))
@@ -250,7 +250,6 @@ def test_scale_width_bound(scalings):
         assert convolve(f, f).values == oracle
         assert inverse(f).values == _fraction_inverse(f)
         assert divide(f, f).quotient == epsilon(4, Q)
-        # two operands in convolve, f alone in inverse (epsilon is integral
-        # already), two in divide
-        assert scalings == ([den] * 5 if scaled else [])
+        # f is scaled once, at make; the routes compute on its store
+        assert scalings == ([den] if scaled else [])
         scalings.clear()
