@@ -21,7 +21,6 @@ backend, the same sieve runs over Python ints.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -82,7 +81,7 @@ def _dispatch(name: str, n: int) -> ArithFunc:
                 raise ValueError("id_k needs k >= 1")
             return _id_pow(n, k)
         # sigma_k(m) <= m^k * tau(m) <= n^k * 2 sqrt(n)
-        fits = n**k * 2 * math.isqrt(n) < kernels.I64_SAFE
+        fits = kernels.convolution_fits_i64(n**k, 1, n)
         return _sieve(n, "sigma_i64", kernels.sigma_rule(k), k, fits_i64=fits)
     raise ValueError(f"unknown function name {name!r}")
 

@@ -275,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--domain", type=Domain, choices=list(Domain),
                         default=Domain(DEFAULT_DOMAIN), metavar="Q|Z",
                         help="coefficient domain (default Q)")
-    common.add_argument("--in", dest="in_file", default=None, metavar="FILE",
-                        help="input function file")
     common.add_argument("--out", default=None, metavar="FILE",
                         help="write output here instead of stdout")
     common.add_argument("--format", choices=("json", "csv", "dot", "text"),
@@ -298,6 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("fn-eval", _cmd_fn_eval, "print a function file's exact values")
     p.add_argument("file", nargs="?", default=None, help="function file (or use --in)")
+    p.add_argument("--in", dest="in_file", default=None, metavar="FILE",
+                   help="input function file")
 
     for name, handler, help_text in (
         ("add", _cmd_add, "pointwise sum of two functions"),

@@ -84,8 +84,6 @@ def convolution_fits_i64(max_a: int, max_b: int, n: int) -> bool:
     max_a * max_b * 2 * isqrt(n) < 2**62.  Exact integer arithmetic, no
     estimates.
     """
-    if n <= 0:
-        return True
     return max_a * max_b * 2 * math.isqrt(n) < I64_SAFE
 
 

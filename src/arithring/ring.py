@@ -28,7 +28,8 @@ rebuilt by the Chinese remainder theorem (Garner's mixed-radix step;
 von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5).  The exact
 big-int divisor-pair loop runs where the CRT costs more: small bounds, a
 sparse operand, operands needing more than ``_CRT_MAX_PRIMES`` primes, and
-the ``python`` backend.
+the ``python`` backend.  The routes read each operand packed once, into
+an int64 array when its values fit and else an ``object`` array of ints.
 
 There is one triangular solve: the inverse of f is the quotient of epsilon
 by f, and one rule picks its route for both.  A Q solve runs over Z on F
@@ -87,7 +88,7 @@ class NoVisibleRank(RingError):
 
 
 def _coerce(value, domain: Domain) -> Coefficient:
-    """Validate and convert one coefficient into `domain`. Exact only."""
+    """Validate and convert one coefficient into `domain`. Exact only; ints stay ints."""
     if isinstance(value, bool):
         value = int(value)
     if isinstance(value, str):
@@ -111,7 +112,7 @@ def _coerce(value, domain: Domain) -> Coefficient:
             raise NotInDomain(
                 f"unsupported coefficient type {type(value).__name__}"
             ) from None
-    return Fraction(value) if domain is Domain.Q else value
+    return value
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,8 @@ class ArithFunc:
                 num = tuple([v.numerator for v in num])
             elif den is not None:
                 num = _scaled(num, den)
+            else:  # ints among the values become Fractions too
+                num = tuple(map(Fraction, num))
         elif den != 1:
             common = math.gcd(den, *num)
             if common != 1:
@@ -232,8 +235,8 @@ class DivisionResult:
 def make(values: Iterable, domain: Domain = Domain.Q) -> ArithFunc:
     """Build an ArithFunc from f(1), f(2), ... validating every coefficient."""
     vals = tuple(values)
-    # exact ints are the identity case of _coerce over Z: skip the per-value call
-    if domain is not Domain.Z or not all(type(v) is int for v in vals):
+    # exact ints are the identity case of _coerce: skip the per-value call
+    if not all(type(v) is int for v in vals):
         vals = tuple(_coerce(v, domain) for v in vals)
     return ArithFunc(domain, vals)
 
@@ -346,12 +349,12 @@ def monic(f: ArithFunc) -> ArithFunc:
 _MAX_SCALE_BITS = 64
 
 
-def _scaled(values: Sequence[Fraction], den: int) -> tuple:
+def _scaled(values: Sequence[Coefficient], den: int) -> tuple:
     """The integers den * v for v in values; den is a multiple of each denominator."""
     return tuple([v.numerator * (den // v.denominator) for v in values])
 
 
-def _denominator(values: Sequence[Fraction]) -> Optional[int]:
+def _denominator(values: Sequence[Coefficient]) -> Optional[int]:
     """The lcm L of the denominators, so values = F / L with F integral.
 
     None as soon as the lcm passes _MAX_SCALE_BITS bits.
@@ -377,41 +380,30 @@ def _rational(ints: Sequence[int], den: int) -> tuple:
 
 
 def _pack(values: Sequence[int], n: int):
-    """(values as a 1-indexed int64 array, or None when one does not fit; max |value|)."""
+    """(values as a 1-indexed array, max |value|): the operand form of every Z route.
+
+    Index 0 holds 0; the dtype is int64 when every value fits, else object.
+    """
     arr = np.zeros(n + 1, np.int64)
     try:
         arr[1:] = np.fromiter(values, np.int64, count=n)
     except OverflowError:
-        return None, max(max(values), -min(values))
-    return arr, max(abs(int(arr.max())), abs(int(arr.min())))
+        arr = np.array((0, *values), object)
+    return arr, max(int(arr.max()), -int(arr.min()))
 
 
 def _try_convolve_i64(pa, pb, n: int, lo: int = 0):
     """The int64 kernel's product of two packed operands at lo+1..n; None when the gate fails."""
     (arr_a, max_a), (arr_b, max_b) = pa, pb
-    if arr_a is None or arr_b is None or not kernels.convolution_fits_i64(max_a, max_b, n):
+    # the gate alone would pass an object operand beside an all-zero one, at max 0
+    if object in (arr_a.dtype, arr_b.dtype) or not kernels.convolution_fits_i64(max_a, max_b, n):
         return None
     return tuple(kernels.convolve_i64(arr_a, arr_b)[lo + 1 :].tolist())
 
 
-def _outer_first(a: Sequence, b: Sequence) -> tuple:
-    """(a, b) ordered so that the operand with fewer nonzero values comes first."""
-    return (b, a) if b.count(0) > a.count(0) else (a, b)
-
-
-def _pairs(outer: Sequence, arr: Optional[np.ndarray], n: int) -> int:
-    """Divisor pairs the exact loop visits with `outer` outside: n // d per nonzero outer(d).
-
-    `arr` is outer packed by :func:`_pack`, or None.
-    """
-    if arr is not None:
-        return int((n // np.flatnonzero(arr)).sum())
-    return sum(map(n.__floordiv__, itertools.compress(range(1, n + 1), outer)))
-
-
 def _convolve_exact(a: Sequence, b: Sequence, n: int, zero: Coefficient, lo: int = 0) -> tuple:
-    """(a * b)(lo+1..n) by the divisor-pair loop, the sparser operand outside."""
-    return _exact_loop(*_outer_first(a, b), n, zero, lo)
+    """(a * b)(lo+1..n) by the divisor-pair loop, the sparser operand outside (a on a tie)."""
+    return _exact_loop(*((b, a) if b.count(0) > a.count(0) else (a, b)), n, zero, lo)
 
 
 def _exact_loop(outer: Sequence, inner: Sequence, n: int, zero: Coefficient, lo: int) -> tuple:
@@ -428,12 +420,12 @@ def _exact_loop(outer: Sequence, inner: Sequence, n: int, zero: Coefficient, lo:
 
 # The CRT route takes at most this many primes.  Measured at N = 80 000,
 # dense operands, it beats the exact loop up to 13 primes (160-bit values)
-# and loses from 16 (200-bit values), where the Python residue pass per
-# prime costs more than the big-int products it replaces.
+# and loses from 16 (200-bit values), where reducing the wide operands
+# modulo each prime costs more than the big-int products it replaces.
 _CRT_MAX_PRIMES = 16
 # Per prime, the CRT route makes the kernel's 2 * isqrt(n) strided passes
 # and O(n) element work; one pass costs about this many divisor pairs of
-# the exact loop (measured crossover, see :func:`_convolve_z`).
+# the exact loop (measured crossover, see :func:`_product`).
 _CRT_PASS_PAIRS = 8
 # Values rebuilt per Python pass, so the temporary lists stay small.
 _REBUILD_CHUNK = 1 << 14
@@ -466,21 +458,13 @@ def _crt_primes(n: int, bound: int) -> Optional[list]:
     return primes
 
 
-def _residues(packed, values: Sequence[int], p: int, n: int) -> np.ndarray:
-    """values mod p as a 1-indexed int64 array; `packed` is values by :func:`_pack`."""
-    arr = packed[0]
-    if arr is not None:
-        return arr % p
-    out = np.zeros(n + 1, np.int64)
-    out[1:] = np.fromiter(map(p.__rmod__, values), np.int64, count=n)
-    return out
+def _convolve_crt(pa, pb, n: int, bound: int, primes: list, lo: int) -> tuple:
+    """The product of packed operands at lo+1..n from its residues modulo `primes`.
 
-
-def _convolve_crt(a, b, pa, pb, n: int, bound: int, primes: list, lo: int) -> tuple:
-    """a * b at lo+1..n from its residues modulo `primes`, whose product exceeds 2 * bound.
-
-    Each output x lies in [-bound, bound], so y = x + bound lies in
-    [0, 2 * bound] and is fixed by its residues.  Garner's step writes y
+    Per prime, one numpy ``%`` reduces each array, in C for either dtype,
+    and one kernel call multiplies them.  Each output x lies in [-bound,
+    bound], so y = x + bound lies in [0, 2 * bound], below the primes'
+    product, and is fixed by its residues.  Garner's step writes y
     in mixed radix, y = v0 + p0 (v1 + p1 (v2 + ...)), every digit in
     int64.  Digit pairs form words below 2**62, bound's own mixed-radix
     words are subtracted from them, and one Python pass per word boundary
@@ -488,7 +472,8 @@ def _convolve_crt(a, b, pa, pb, n: int, bound: int, primes: list, lo: int) -> tu
     """
     digits = []
     for p in primes:
-        y = kernels.convolve_i64(_residues(pa, a, p, n), _residues(pb, b, p, n))[lo + 1 :]
+        ra, rb = [(arr % p).astype(np.int64, copy=False) for arr, _ in (pa, pb)]
+        y = kernels.convolve_i64(ra, rb)[lo + 1 :]
         y += bound % p
         y %= p
         for q, v in zip(primes, digits):
@@ -522,34 +507,38 @@ def _convolve_crt(a, b, pa, pb, n: int, bound: int, primes: list, lo: int) -> tu
 
 
 def _convolve_z(a: Sequence[int], b: Sequence[int], n: int, lo: int = 0) -> tuple:
-    """(a * b)(lo+1..n) over Z on the cheapest route that is exact.
+    """(a * b)(lo+1..n) over Z: :func:`_product` of the packed operands; the loop on ``python``."""
+    if not kernels.int64_paths_enabled():
+        return _convolve_exact(a, b, n, 0, lo)
+    return _product(_pack(a, n), _pack(b, n), n, lo)
+
+
+def _product(pa, pb, n: int, lo: int = 0) -> tuple:
+    """The product of two packed operands at lo+1..n on the cheapest route that is exact.
 
     The int64 kernel when the gate passes.  Otherwise the kernel modulo k
     primes with a CRT rebuild (:func:`_convolve_crt`), unless more than
     _CRT_MAX_PRIMES primes are needed or the exact loop visits no more
     divisor pairs than k * (n + _CRT_PASS_PAIRS * 2 * isqrt(n)), which is
-    where it is cheaper: small n, or an operand with few nonzero values.
+    where it is cheaper: small n, or an operand with few nonzero values,
+    which the loop puts outside (`pa` on a tie).
     """
-    if not kernels.int64_paths_enabled():
-        return _convolve_exact(a, b, n, 0, lo)
-    pa, pb = _pack(a, n), _pack(b, n)
     fast = _try_convolve_i64(pa, pb, n, lo)
     if fast is not None:
         return fast
     bound = pa[1] * pb[1] * 2 * math.isqrt(n)
     primes = _crt_primes(n, bound)
-    outer, inner = _outer_first(a, b)
-    if primes is None or _pairs(outer, (pa if outer is a else pb)[0], n) <= len(primes) * (
-        n + _CRT_PASS_PAIRS * 2 * math.isqrt(n)
-    ):
-        return _exact_loop(outer, inner, n, 0, lo)
-    return _convolve_crt(a, b, pa, pb, n, bound, primes, lo)
+    outer, inner = sorted((pa[0], pb[0]), key=np.count_nonzero)
+    pairs = int((n // np.flatnonzero(outer)).sum())
+    if primes is None or pairs <= len(primes) * (n + _CRT_PASS_PAIRS * 2 * math.isqrt(n)):
+        return _exact_loop(outer[1:].tolist(), inner[1:].tolist(), n, 0, lo)
+    return _convolve_crt(pa, pb, n, bound, primes, lo)
 
 
 def convolve(f: ArithFunc, g: ArithFunc) -> ArithFunc:
     """Dirichlet product at the common bound: (F * G) / (L_f L_g).
 
-    F * G takes the route :func:`_convolve_z` picks: the int64 kernel, the
+    F * G takes the route :func:`_product` picks: the int64 kernel, the
     kernel modulo primes with a CRT rebuild, or the divisor-pair loop,
     whose work is the sum of tau(n) for n <= N (about N log N), never
     per-index trial division.  An operand that stores no L runs the same
@@ -611,14 +600,14 @@ def _block_solve(a: Sequence[int], b: Sequence[int], n: int):
     a remainder is the witness, the index :func:`_divide_solve` returns.
     """
     lead = b[0]
-    rest = (0, *b[1:n])
+    rest, widest = _pack((0, *b[1:n]), n)  # packed once; its max bounds every prefix
     g: list = []
     m = 0
     while m < n:
         top = min(2 * m, n) or 1
         res = a[m:top]
         if m:
-            below = _convolve_z(rest[:top], g + [0] * (top - m), top, m)
+            below = _product((rest[: top + 1], widest), _pack(g + [0] * (top - m), top), top, m)
             res = list(map(operator.sub, res, below))
         if lead == 1:
             g += res

@@ -32,6 +32,17 @@ class TestFunctionCommands:
         assert code == 0
         assert out == "1 1/2\n2 3\n"
 
+    def test_in_is_an_fn_eval_option_only(self, capsys, tmp_path):
+        code, out, err = run(capsys, "conv", "--lhs", "one", "--rhs", "one", "--bound", "4",
+                             "--in", str(tmp_path / "missing.json"))
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --in" in err
+
+    def test_fn_eval_names_the_accepted_suffixes(self, capsys, tmp_path):
+        code, out, err = run(capsys, "fn-eval", str(tmp_path))
+        assert code == 2 and out == ""
+        assert ".json" in err and ".csv" in err and "fmt=" not in err
+
     def test_fn_eval_without_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "fn-eval")
         assert code == 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,7 +68,7 @@ def _spy(monkeypatch, name: str) -> list:
 
 def _crt(a, b, n, bound, lo=0):
     primes = ring._crt_primes(n, bound)
-    return ring._convolve_crt(a, b, ring._pack(a, n), ring._pack(b, n), n, bound, primes, lo)
+    return ring._convolve_crt(ring._pack(a, n), ring._pack(b, n), n, bound, primes, lo)
 
 
 def _gate_bound(a, b, n) -> int:
@@ -138,6 +139,32 @@ def test_int64_gate_edge(n, kernel_calls):
             primes = ring._crt_primes(n, big * s2)
             assert kernel_calls == ([n] * len(primes) if n == 1024 else [])
         kernel_calls.clear()
+
+
+@pytest.mark.parametrize("extreme", [(1 << 63) - 1, -(1 << 63), 1 << 63, -(1 << 63) - 1])
+@pytest.mark.parametrize("n, crt", [(1024, True), (6, False)])
+def test_int64_edge_values(extreme, n, crt, kernel_calls):
+    """The int64 extremes pack as int64 and the values past them as object;
+    all fail the gate and take the CRT (dense, n = 1024) or the loop (n = 6)."""
+    a = [extreme] + [(-1) ** m * (extreme // (m + 1)) for m in range(1, n)]
+    b = [m % 5 - 2 for m in range(n)]
+    fits = -(1 << 63) <= extreme < 1 << 63
+    assert ring._pack(a, n)[0].dtype == (np.int64 if fits else object)
+    got = ring._convolve_z(a, b, n)
+    assert got == ring._convolve_exact(a, b, n, 0)
+    k = len(ring._crt_primes(n, _gate_bound(a, b, n)))
+    assert kernel_calls == ([n] * k if crt else [])
+
+
+def test_zero_beside_a_wide_operand_skips_the_kernel(kernel_calls):
+    """A zero operand has max 0, so only the dtype keeps object values from the kernel."""
+    n = 300
+    wide, zero = [(1 << 70) + m for m in range(n)], [0] * n
+    assert ring._try_convolve_i64(ring._pack(wide, n), ring._pack(zero, n), n) is None
+    assert ring._try_convolve_i64(ring._pack(zero, n), ring._pack(wide, n), n) is None
+    assert ring._convolve_z(wide, zero, n) == ring._convolve_z(zero, wide, n) == (0,) * n
+    assert ring._convolve_z(wide, zero, n, n // 2) == (0,) * (n - n // 2)
+    assert kernel_calls == []
 
 
 @pytest.mark.parametrize("n", [1, 16, 1000])
@@ -302,6 +329,34 @@ def test_wide_blocks_take_the_crt(kernel_calls, monkeypatch):
     a = list(ring._convolve_exact(b, q, n, 0))
     assert ring._block_solve(a, b, n) == (tuple(q), None) == _oracle(a, b, n)
     assert crt and kernel_calls
+
+
+def test_blocks_of_a_divisor_past_int64(kernel_calls, monkeypatch):
+    """A divisor packed as object: its blocks take the CRT, witnesses included."""
+    crt = _spy(monkeypatch, "_convolve_crt")
+    n = 2000
+    b = [3] + [(m * 7919 % 1000003 - 500000) << 60 for m in range(1, n)]
+    q = [(m * 104729 % 999983 - 500000) << 8 for m in range(1, n + 1)]
+    assert ring._pack(b, n)[0].dtype == object
+    a = list(ring._convolve_exact(b, q, n, 0))
+    assert ring._block_solve(a, b, n) == (tuple(q), None) == _oracle(a, b, n)
+    assert crt and kernel_calls
+    a[1500] += 1
+    assert ring._block_solve(a, b, n) == (None, 1501) == _oracle(a, b, n)
+
+
+def test_block_solve_packs_its_divisor_once(monkeypatch):
+    """One pack of b without b(1) per solve, then one pack of g per block."""
+    packs = _spy(monkeypatch, "_pack")
+    n = 200
+    b = [1] + [m % 7 - 3 for m in range(1, n)]
+    q = [m % 5 - 2 for m in range(n)]
+    a = list(ring._convolve_exact(b, q, n, 0))
+    assert ring._block_solve(a, b, n) == (tuple(q), None)
+    rest = (0, *b[1:])
+    divisor = [values for values, _ in packs if tuple(values) == rest[: len(values)]]
+    blocks = math.ceil(math.log2(n))  # (1, 2], (2, 4], ..., (128, 200]
+    assert len(divisor) == 1 and len(packs) == 1 + blocks
 
 
 @backends

@@ -130,12 +130,32 @@ def test_arith_func_is_frozen():
         inverse(build("one", 30, Q)),
         make(VALUES, Q),
         _wide(),
+        make([2, Fraction(1, WIDE[0]), -3, Fraction(1, WIDE[1]), 0, Fraction(1, WIDE[2]),
+              7, Fraction(1, WIDE[3]), Fraction(1, WIDE[4])], Q),
     ],
-    ids=["make", "build", "epsilon", "omega", "nu", "product", "inverse", "L=6", "wide"],
+    ids=["make", "build", "epsilon", "omega", "nu", "product", "inverse", "L=6", "wide",
+         "wide with ints"],
 )
 def test_q_values_are_fractions(f):
     assert all(type(v) is Fraction for v in f.values)
     assert all(type(f[n]) is Fraction and f[n] == v for n, v in enumerate(f.values, 1))
+
+
+def test_make_over_q_builds_no_fraction_until_values_are_read(monkeypatch):
+    """Ints over Q are stored as F with L = 1; Fractions appear on the first read."""
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ring, "Fraction", Counted)
+    f = make([3, -1, 0, 7, True], Q)
+    assert built == []
+    assert (f._num, f._den) == ((3, -1, 0, 7, 1), 1)
+    assert f.values == (3, -1, 0, 7, 1)
+    assert len(built) == 5 and all(type(v) is Counted for v in f.values)
 
 
 def test_z_store_is_the_values():
