@@ -16,7 +16,8 @@ request):
 
 Generation is by per-prime valuation passes (the numpy kernels), never
 per-index factorization.  Past the int64 gates, or under the ``python``
-backend, the same sieve runs over Python ints.
+backend, the same sieve runs over Python ints.  Either way the sieve's
+1-indexed array becomes the function's store as it is.
 """
 
 from __future__ import annotations
@@ -63,16 +64,18 @@ def build(name: str, bound: int, domain: Domain = Domain.Z) -> ArithFunc:
 def _dispatch(name: str, n: int) -> ArithFunc:
     name = {"id": "id_1", "sigma": "sigma_1"}.get(name, name)
     if name == "one":
-        return make([1] * n, Domain.Z)
+        ones = np.ones(n + 1, np.int64)
+        ones[0] = 0
+        return ArithFunc(Domain.Z, ones, 1)
     if name == "epsilon":
         return epsilon(n, Domain.Z)
     if name in kernels.RULES:
         return _sieve(n, *kernels.RULES[name])
     if name == "prime_char":
-        return make(kernels.primes_mask(n)[1:].astype(np.int64).tolist(), Domain.Z)
+        return ArithFunc(Domain.Z, kernels.primes_mask(n).astype(np.int64), 1)
     if name == "pi_squared":
         counts = np.cumsum(kernels.primes_mask(n).astype(np.int64))
-        return make([c * c for c in counts[1:].tolist()], Domain.Z)
+        return ArithFunc(Domain.Z, counts * counts, 1)
     m = _PARAM_NAME.match(name)
     if m:
         k = int(m.group(2))
@@ -88,19 +91,15 @@ def _dispatch(name: str, n: int) -> ArithFunc:
 
 def _id_pow(n: int, k: int) -> ArithFunc:
     if kernels.int64_paths_enabled() and n**k < kernels.I64_SAFE:
-        vals = (np.arange(n + 1, dtype=np.int64) ** k)[1:].tolist()
-    else:
-        vals = [i**k for i in range(1, n + 1)]
-    return make(vals, Domain.Z)
+        return ArithFunc(Domain.Z, np.arange(n + 1, dtype=np.int64) ** k, 1)
+    return make([i**k for i in range(1, n + 1)], Domain.Z)
 
 
 def _sieve(n: int, kernel: str, rule, *args, fits_i64: bool = True) -> ArithFunc:
     """kernels.<kernel>(n, *args) inside the int64 gate, else rule's sieve over ints."""
     if kernels.int64_paths_enabled() and fits_i64:
-        values = getattr(kernels, kernel)(n, *args)
-    else:
-        values = kernels._multiplicative(n, rule, object)
-    return make(values[1:].tolist(), Domain.Z)
+        return ArithFunc(Domain.Z, getattr(kernels, kernel)(n, *args), 1)
+    return ArithFunc(Domain.Z, kernels._multiplicative(n, rule, object), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +136,11 @@ class IdentityReport:
 
 def _first_mismatch(f: ArithFunc, g: ArithFunc) -> Optional[int]:
     """First index where f and g differ: on F over one denominator, else on values."""
-    if f == g:
-        return None
-    a, b = (f._num, g._num) if f._den == g._den else (f.values, g.values)
-    for i, (x, y) in enumerate(zip(a, b), 1):
-        if x != y:
-            return i
-    return None
+    if f._den == g._den:
+        n = min(len(f), len(g)) + 1
+        differ = np.flatnonzero(f._num[1:n] != g._num[1:n])
+        return int(differ[0]) + 1 if differ.size else None
+    return next((i for i, (x, y) in enumerate(zip(f.values, g.values), 1) if x != y), None)
 
 
 def identity_suite(bound: int, domain: Domain = Domain.Z) -> IdentityReport:

@@ -66,9 +66,7 @@ def _render_function(f: ArithFunc, fmt: str) -> str:
     if fmt == "csv":
         return serialize.to_csv(f)
     if fmt == "text":
-        return "".join(
-            f"{i} {serialize.coefficient_to_str(v)}\n" for i, v in enumerate(f.values, 1)
-        )
+        return "".join(f"{i} {v}\n" for i, v in enumerate(serialize.coefficient_strings(f), 1))
     raise ValueError(f"format {fmt!r} not valid for function output")
 
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from . import numutil
 from .classical import _first_mismatch
 from .kernels import primes_mask
@@ -91,7 +93,7 @@ def certify(f: ArithFunc) -> Certificate:
         return Certificate(Verdict.ZERO)
     if is_unit(f):
         return Certificate(Verdict.UNIT)
-    if f._num[0] == 0:
+    if f._num[1] == 0:
         hit = _prime_support(f)
         if hit is not None:
             return Certificate(Verdict.IRREDUCIBLE, Reason(PRIME_SUPPORT, hit))
@@ -101,7 +103,7 @@ def certify(f: ArithFunc) -> Certificate:
     if f.domain is Domain.Q and r.index > 1 and numutil.is_prime(r.index):
         return Certificate(Verdict.IRREDUCIBLE, Reason(PRIME_RANK, r.index))
     if f.domain is Domain.Z:
-        magnitude = abs(int(f._num[0]))
+        magnitude = abs(f._num.item(1))
         if magnitude >= 2 and numutil.is_prime(magnitude):
             return Certificate(
                 Verdict.IRREDUCIBLE, Reason(PRIME_LEADING_MAGNITUDE, magnitude)
@@ -111,24 +113,12 @@ def certify(f: ArithFunc) -> Certificate:
 
 def _prime_support(f: ArithFunc) -> Optional[int]:
     """Smallest prime p with f(p) != 0, if the prime-support rule is sound."""
-    mask = primes_mask(f.bound)
-    first = None
-    for p in range(2, f.bound + 1):
-        if mask[p] and f._num[p - 1]:
-            first = p
-            break
-    if first is None:
+    hits = np.flatnonzero(primes_mask(f.bound) & (f._num != 0))
+    if not hits.size:
         return None
-    if f.domain is Domain.Z:
-        g = 0
-        for p in range(first, f.bound + 1):
-            if mask[p]:
-                g = math.gcd(g, int(f._num[p - 1]))
-                if g == 1:
-                    break
-        if g != 1:
-            return None  # a rank-one nonunit factor of magnitude g | ... remains possible
-    return first
+    if f.domain is Domain.Z and math.gcd(*f._num[hits].tolist()) != 1:
+        return None  # a rank-one nonunit factor dividing every f(p) remains possible
+    return int(hits[0])
 
 
 def witness_reducible(f: ArithFunc, left: ArithFunc, right: ArithFunc) -> Certificate:

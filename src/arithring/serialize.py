@@ -13,6 +13,7 @@ argument (the CLI passes its --domain flag).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -32,11 +33,26 @@ def coefficient_to_str(v: Coefficient) -> str:
     return str(v)
 
 
+def coefficient_strings(f: ArithFunc) -> list[str]:
+    """coefficient_to_str of f(1), ..., f(N), formatted from the store F / L:
+    F(n) when L = 1, else F(n) / L reduced by one gcd, with no Fraction built."""
+    ints, den = f._num[1:].tolist(), f._den
+    if den is None:  # the Fraction store
+        return [coefficient_to_str(v) for v in ints]
+    if den == 1:
+        return list(map(str, ints))
+    out = []
+    for v in ints:
+        g = math.gcd(v, den)
+        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    return out
+
+
 def to_json_obj(f: ArithFunc) -> dict:
     return {
         "domain": f.domain.value,
         "bound": f.bound,
-        "values": [coefficient_to_str(v) for v in f.values],
+        "values": coefficient_strings(f),
     }
 
 
@@ -72,7 +88,7 @@ def loads(text: str) -> ArithFunc:
 
 
 def to_csv(f: ArithFunc) -> str:
-    lines = [f"{i},{coefficient_to_str(v)}" for i, v in enumerate(f.values, 1)]
+    lines = [f"{i},{v}" for i, v in enumerate(coefficient_strings(f), 1)]
     return "\n".join(lines) + "\n"
 
 

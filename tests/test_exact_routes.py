@@ -1,6 +1,6 @@
 """Exact products and rank-1 solves on the int64 kernel, against the loops.
 
-Past the int64 gate, ``ring._convolve_z`` rebuilds a product from its
+Past the int64 gate, ``ring._product`` rebuilds a product from its
 residues modulo a few primes (``_convolve_crt``), and a rank-1 division
 over Z is solved in doubling blocks (``_block_solve``), each block one
 such product.  The oracles are the routes the ``python`` backend forces:
@@ -66,9 +66,31 @@ def _spy(monkeypatch, name: str) -> list:
     return seen
 
 
+def _operand(values):
+    """The value list as a Z route operand: its store array and max |value|."""
+    return ring._operand(ring._pack(values))
+
+
+def _at(arr, lo=0) -> tuple:
+    """A route's 1-indexed result on lo+1..n; it must be zero on 0..lo."""
+    assert not arr[: lo + 1].any()
+    return tuple(arr[lo + 1 :].tolist())
+
+
 def _crt(a, b, n, bound, lo=0):
     primes = ring._crt_primes(n, bound)
-    return ring._convolve_crt(ring._pack(a, n), ring._pack(b, n), n, bound, primes, lo)
+    return _at(ring._convolve_crt(_operand(a), _operand(b), n, bound, primes, lo), lo)
+
+
+def _convolve_z(a, b, n, lo=0) -> tuple:
+    """The Z product of the value lists a and b on lo+1..n, as ``convolve`` takes it."""
+    return _at(ring._product(_operand(a), _operand(b), n, lo), lo)
+
+
+def _block_solve(a, b, n):
+    """ring._block_solve of the value lists a and b: (quotient values or None, witness)."""
+    q, witness = ring._block_solve(ring._pack(a), ring._pack(b), n)
+    return (None if q is None else _at(q)), witness
 
 
 def _gate_bound(a, b, n) -> int:
@@ -116,7 +138,7 @@ def test_crt_matches_the_exact_loop(case, chunk):
 def test_convolve_z_matches_the_exact_loop(backend, case):
     a, b, n, lo = case
     with kernels.use_backend(backend):
-        got = ring._convolve_z(a, b, n, lo)
+        got = _convolve_z(a, b, n, lo)
     assert got == ring._convolve_exact(a, b, n, 0, lo)
 
 
@@ -131,7 +153,7 @@ def test_int64_gate_edge(n, kernel_calls):
         b = [1, -1] * (n // 2) + [1] * (n % 2)
         assert _gate_bound(a, b, n) == big * s2
         assert kernels.convolution_fits_i64(big, 1, n) == takes_kernel
-        got = ring._convolve_z(a, b, n)
+        got = _convolve_z(a, b, n)
         assert got == ring._convolve_exact(a, b, n, 0)
         if takes_kernel:
             assert kernel_calls == [n]
@@ -149,8 +171,8 @@ def test_int64_edge_values(extreme, n, crt, kernel_calls):
     a = [extreme] + [(-1) ** m * (extreme // (m + 1)) for m in range(1, n)]
     b = [m % 5 - 2 for m in range(n)]
     fits = -(1 << 63) <= extreme < 1 << 63
-    assert ring._pack(a, n)[0].dtype == (np.int64 if fits else object)
-    got = ring._convolve_z(a, b, n)
+    assert ring._pack(a).dtype == (np.int64 if fits else object)
+    got = _convolve_z(a, b, n)
     assert got == ring._convolve_exact(a, b, n, 0)
     k = len(ring._crt_primes(n, _gate_bound(a, b, n)))
     assert kernel_calls == ([n] * k if crt else [])
@@ -160,10 +182,10 @@ def test_zero_beside_a_wide_operand_skips_the_kernel(kernel_calls):
     """A zero operand has max 0, so only the dtype keeps object values from the kernel."""
     n = 300
     wide, zero = [(1 << 70) + m for m in range(n)], [0] * n
-    assert ring._try_convolve_i64(ring._pack(wide, n), ring._pack(zero, n), n) is None
-    assert ring._try_convolve_i64(ring._pack(zero, n), ring._pack(wide, n), n) is None
-    assert ring._convolve_z(wide, zero, n) == ring._convolve_z(zero, wide, n) == (0,) * n
-    assert ring._convolve_z(wide, zero, n, n // 2) == (0,) * (n - n // 2)
+    assert ring._try_convolve_i64(_operand(wide), _operand(zero), n) is None
+    assert ring._try_convolve_i64(_operand(zero), _operand(wide), n) is None
+    assert _convolve_z(wide, zero, n) == _convolve_z(zero, wide, n) == (0,) * n
+    assert _convolve_z(wide, zero, n, n // 2) == (0,) * (n - n // 2)
     assert kernel_calls == []
 
 
@@ -195,7 +217,7 @@ def test_prime_cap():
     assert ring._crt_primes(n, (limit - 1) // 2) == cap
     assert ring._crt_primes(n, (limit + 1) // 2) is None
     a = [(limit - 1) // 2, 3, -5, 7] * (n // 4)
-    assert ring._convolve_z(a, a, n) == ring._convolve_exact(a, a, n, 0)
+    assert _convolve_z(a, a, n) == ring._convolve_exact(a, a, n, 0)
 
 
 # n at each edge where 2 * isqrt(n) gains a bit, up to 10**9
@@ -244,7 +266,7 @@ def test_sparse_crossover(kernel_calls):
     for pairs, calls in ((limit, []), (limit + 1, [n] * k)):
         sparse, dense = _crossover_operands(n, pairs)
         assert len(ring._crt_primes(n, _gate_bound(sparse, dense, n))) == k
-        got = ring._convolve_z(dense, sparse, n)
+        got = _convolve_z(dense, sparse, n)
         assert got == ring._convolve_exact(sparse, dense, n, 0)
         assert kernel_calls == calls
         kernel_calls.clear()
@@ -302,7 +324,7 @@ def rank_one_divisions(draw, max_n: int = 80, max_bits: int = 70):
 @settings(max_examples=150)
 def test_block_solve_matches_the_sequential_solve(case):
     a, b, n = case
-    assert ring._block_solve(a, b, n) == _oracle(a, b, n)
+    assert _block_solve(a, b, n) == _oracle(a, b, n)
 
 
 @pytest.mark.parametrize("lead", [2, -3, 1 << 45])
@@ -311,13 +333,13 @@ def test_witness_at_every_block_edge(lead, n):
     b = [lead] + [(-1) ** m * (m * 7919 % 1000003) << 30 for m in range(1, n)]
     q = [(m * 104729 % 999983) << 35 for m in range(1, n + 1)]
     exact = list(ring._convolve_exact(b, q, n, 0))
-    assert ring._block_solve(exact, b, n) == (tuple(q), None)
+    assert _block_solve(exact, b, n) == (tuple(q), None)
     for at in sorted({1, 2, 3, n} | {v for j in range(8) for v in (1 << j, (1 << j) + 1)}):
         if at > n:
             continue
         a = list(exact)
         a[at - 1] += 1
-        assert ring._block_solve(a, b, n) == (None, at) == _oracle(a, b, n)
+        assert _block_solve(a, b, n) == (None, at) == _oracle(a, b, n)
 
 
 def test_wide_blocks_take_the_crt(kernel_calls, monkeypatch):
@@ -327,7 +349,7 @@ def test_wide_blocks_take_the_crt(kernel_calls, monkeypatch):
     b = [-5] + [(m * 7919 % 1000003 - 500000) << 24 for m in range(1, n)]
     q = [(m * 104729 % 999983 - 500000) << 20 for m in range(1, n + 1)]
     a = list(ring._convolve_exact(b, q, n, 0))
-    assert ring._block_solve(a, b, n) == (tuple(q), None) == _oracle(a, b, n)
+    assert _block_solve(a, b, n) == (tuple(q), None) == _oracle(a, b, n)
     assert crt and kernel_calls
 
 
@@ -337,26 +359,44 @@ def test_blocks_of_a_divisor_past_int64(kernel_calls, monkeypatch):
     n = 2000
     b = [3] + [(m * 7919 % 1000003 - 500000) << 60 for m in range(1, n)]
     q = [(m * 104729 % 999983 - 500000) << 8 for m in range(1, n + 1)]
-    assert ring._pack(b, n)[0].dtype == object
+    assert ring._pack(b).dtype == object
     a = list(ring._convolve_exact(b, q, n, 0))
-    assert ring._block_solve(a, b, n) == (tuple(q), None) == _oracle(a, b, n)
+    assert _block_solve(a, b, n) == (tuple(q), None) == _oracle(a, b, n)
     assert crt and kernel_calls
     a[1500] += 1
-    assert ring._block_solve(a, b, n) == (None, 1501) == _oracle(a, b, n)
+    assert _block_solve(a, b, n) == (None, 1501) == _oracle(a, b, n)
 
 
 def test_block_solve_packs_its_divisor_once(monkeypatch):
-    """One pack of b without b(1) per solve, then one pack of g per block."""
-    packs = _spy(monkeypatch, "_pack")
+    """One operand of b without b(1) per solve, one product per block, and no pack."""
     n = 200
     b = [1] + [m % 7 - 3 for m in range(1, n)]
     q = [m % 5 - 2 for m in range(n)]
-    a = list(ring._convolve_exact(b, q, n, 0))
-    assert ring._block_solve(a, b, n) == (tuple(q), None)
-    rest = (0, *b[1:])
-    divisor = [values for values, _ in packs if tuple(values) == rest[: len(values)]]
-    blocks = math.ceil(math.log2(n))  # (1, 2], (2, 4], ..., (128, 200]
-    assert len(divisor) == 1 and len(packs) == 1 + blocks
+    a = ring._pack(list(ring._convolve_exact(b, q, n, 0)))
+    b_store = ring._pack(b)
+    packs = _spy(monkeypatch, "_pack")
+    operands = _spy(monkeypatch, "_operand")
+    products = _spy(monkeypatch, "_product")
+    got, witness = ring._block_solve(a, b_store, n)
+    assert (_at(got), witness) == (tuple(q), None)
+    assert packs == []
+    assert len(operands) == 1 and _at(operands[0][0]) == (0, *b[1:])
+    # blocks (1, 2], (2, 4], ..., (128, 200], each one product; (0, 1] needs none
+    assert len(products) == math.ceil(math.log2(n))
+
+
+def test_block_quotient_stays_int64_while_it_fits(monkeypatch):
+    """Object residuals whose quotients fit leave g int64, so every block's
+    product reads g as int64 and its residues cost one C-level pass."""
+    n = 300
+    b = [3] + [(m * 7919 % 1009 - 500) << 40 for m in range(1, n)]
+    q = [(m * 104729 % 1013 - 500) << 20 for m in range(1, n + 1)]
+    a = ring._pack(list(ring._convolve_exact(b, q, n, 0)))
+    assert a.dtype == object
+    products = _spy(monkeypatch, "_product")
+    got, witness = ring._block_solve(a, ring._pack(b), n)
+    assert (_at(got), witness) == (tuple(q), None) and got.dtype == np.int64
+    assert products and all(g.dtype == np.int64 for _, (g, _), *_ in products)
 
 
 @backends

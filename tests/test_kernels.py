@@ -168,7 +168,7 @@ def test_convolve_just_inside_gate_with_negative_extremes(n):
     max_a = (kernels.I64_SAFE - 1) // (2 * math.isqrt(n))
     f = make([-max_a] * n, Domain.Z)
     g = make([1] * n, Domain.Z)
-    assert ring._try_convolve_i64(ring._pack(f.values, n), ring._pack(g.values, n), n) is not None
+    assert ring._try_convolve_i64(ring._operand(f._num), ring._operand(g._num), n) is not None
     got = convolve(f, g)
     with kernels.use_backend("python"):
         assert got == convolve(f, g)
@@ -179,7 +179,7 @@ def test_convolve_just_inside_gate_with_negative_extremes(n):
 def test_out_of_gate_values_fall_back_to_exact(extreme):
     f = make([extreme, 1, -1, 0, 5, 7], Domain.Z)
     g = make([2, 3, 0, -4, 1, 1], Domain.Z)
-    assert ring._try_convolve_i64(ring._pack(f.values, 6), ring._pack(g.values, 6), 6) is None
+    assert ring._try_convolve_i64(ring._operand(f._num), ring._operand(g._num), 6) is None
     got = convolve(f, g)
     assert got.values == ring._convolve_exact(f.values, g.values, 6, 0)
     assert got[1] == 2 * extreme

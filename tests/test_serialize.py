@@ -116,3 +116,38 @@ def test_path_round_trip_infers_format(tmp_path):
         dump_path(f, tmp_path / "f.dat")
     with pytest.raises(ValueError):
         load_path(tmp_path / "f.json", fmt="xml")
+
+
+# ---------------------------------------------------------------------------
+# output formatted from the store (F, L), byte for byte as from the Fractions
+# ---------------------------------------------------------------------------
+
+
+def _stores():
+    """Functions with L = 1 over Z and Q, L = 6, and a wide L that stores Fractions."""
+    wide = (1000003, 1000033, 1000037, 1000039, 1000081)
+    return {
+        "Z": make([3, -1, 0, 1 << 70, -(1 << 63), 7], Z),
+        "L=1": make([3, -1, 0, 1 << 70, Fraction(10, 5), 7], Q),
+        "L=6": make([Fraction(1, 6), Fraction(-4, 6), 0, Fraction(5, 2), Fraction(-9, 3)], Q),
+        "wide": make([1, 0] + [Fraction(-k, wide[k % 5]) for k in range(2, 9)], Q),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_stores()))
+def test_output_from_the_store_matches_fraction_formatting(name, tmp_path, capsys):
+    from arithring.cli import main
+
+    f = _stores()[name]
+    assert (f._den is None) == (name == "wide") and (f._den == 6) == (name == "L=6")
+    want = [coefficient_to_str(v) for v in f.values]
+    assert want[:3] != ["0", "0", "0"]
+    assert to_json_obj(f)["values"] == want
+    csv = "".join(f"{i},{s}\n" for i, s in enumerate(want, 1))
+    assert to_csv(f) == csv
+    path = tmp_path / "f.json"
+    dump_path(f, path)
+    for fmt, out in (("text", csv.replace(",", " ")), ("csv", csv), ("json", dumps(f) + "\n")):
+        assert main(["fn-eval", str(path), "--format", fmt]) == 0
+        assert capsys.readouterr().out == out
+    assert loads(dumps(f)) == f
