@@ -10,10 +10,12 @@ squarefree.  The minimum chain partition is the de Bruijn-Tengbergen-
 Kruyswijk symmetric chain decomposition, whose middle rank layer is an
 antichain of the same size; both are checked on every call.
 
-Also here: the chain-descent integer factorizer (repeatedly split off the
-smallest nontrivial divisor, which has no nontrivial proper divisor of its
-own, and recurse on the cofactor) and the p | ab implies p | a or p | b
-sample checker.
+Also here: the chain-descent integer factorizer, Euclid's property (1):
+any proper divisor of a composite n starts a descending chain of proper
+divisors that ends at an irreducible, so whichever proper divisor is found
+drives the descent.  And the p | ab implies p | a or p | b checker,
+Euclid's property (2), which is a theorem for a proven prime p and a scan
+of the given pairs otherwise.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ import numpy as np
 
 from . import numutil
 
-# Trial division keeps divisor enumeration elementary; larger roots would
-# need a smarter factoring engine than this module wants to carry.
+# The divisor count, not factoring, sets this limit: numutil splits any
+# root below psi_12 in about root^(1/4) rho steps.  Raise it only as far as
+# lattice_report on the root with the most divisors under the new limit is
+# measured to finish in about a second.
 DEFAULT_ROOT_LIMIT = 10**9
 
 # Largest root whose pairwise divisor products x * y all fit in int64.
@@ -255,25 +259,28 @@ def gcd_lcm_identity_check(poset: DivisorPoset) -> bool:
 def euclid_factorization(n: int) -> list[int]:
     """Factor n >= 2 by descending chains of proper divisors.
 
-    Each step takes the smallest nontrivial divisor -- the terminal point of
-    a strictly descending divisor chain, hence itself irreducible (it has
-    no nontrivial proper divisor) -- divides it out, and recurses on the
-    cofactor.  Returns the ascending multiset of irreducible factors.
+    Any proper divisor of a composite part drives the chain: numutil finds
+    one (a small prime, or a Pollard-Brent rho split), and both the divisor
+    and its cofactor descend until every part is a proven irreducible.
+    Returns the ascending multiset of irreducible factors; raises
+    ValueError for a part at or above psi_12 that cannot be proven prime.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    factors = []
-    while n > 1:
-        d = numutil.smallest_prime_factor(n)
-        factors.append(d)
-        n //= d
-    return factors
+    return numutil.prime_factors(n)
 
 
 def prime_property_check(p: int, pairs: Iterable[tuple[int, int]]) -> bool:
-    """For every pair (a, b) with p | ab, confirm p | a or p | b."""
+    """For every pair of integers (a, b) with p | ab, confirm p | a or p | b.
+
+    A p that numutil.is_prime proves prime (p < psi_12) passes by Euclid's
+    lemma without reading `pairs`.  A composite p, and a p >= psi_12 whose
+    primality is unproven, is checked by scanning every pair.
+    """
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
+    if p < numutil.MR_PROOF_LIMIT and numutil.is_prime(p):
+        return True
     for a, b in pairs:
         if (a * b) % p == 0 and a % p != 0 and b % p != 0:
             return False

@@ -1,31 +1,34 @@
-"""Small integer helpers: primality, trial-division factoring, divisor lists."""
+"""Small integer helpers: primality, factoring by Euclid's chain, divisor lists.
+
+Factoring follows Euclid's argument that any proper divisor of a composite
+n starts a descending chain of proper divisors ending at an irreducible,
+so any method that finds *a* proper divisor can drive it.  The primes
+below 2^10 are divided out first.  Each remaining part is then either
+proven prime by the 12-base Miller-Rabin test (a proof below psi_12) or
+split by Pollard-Brent rho (Brent, BIT 20, 1980), in about part^(1/4)
+steps, and both pieces recurse.  A part at or above psi_12 that the test
+calls prime cannot be proven prime, so it is refused with ValueError.
+"""
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterator
 
 from . import kernels
 
-# Witnesses proving primality for every n < _MR_PROOF_LIMIT (Sorenson &
+# Witnesses proving primality for every n < MR_PROOF_LIMIT (Sorenson &
 # Webster 2015, OEIS A014233): the limit is psi_12, the least strong
 # pseudoprime to all twelve bases, and from it on the test is
 # strong-probable-prime only.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROOF_LIMIT = 318_665_857_834_031_151_167_461
+MR_PROOF_LIMIT = 318_665_857_834_031_151_167_461
 
-_prime_cache: list[int] = []
-_prime_cache_limit = 0
+_SMALL_PRIMES = tuple(kernels.primes_mask(1 << 10).nonzero()[0].tolist())
 
-
-def _primes_upto(limit: int) -> list[int]:
-    global _prime_cache, _prime_cache_limit
-    if limit > _prime_cache_limit:
-        new_limit = max(limit, 2 * _prime_cache_limit, 1 << 10)
-        mask = kernels.primes_mask(new_limit)
-        _prime_cache = [int(p) for p in mask.nonzero()[0]]
-        _prime_cache_limit = new_limit
-    return _prime_cache
+# rho steps between gcds: one gcd per batch of products |x - y| mod n
+_RHO_BATCH = 128
 
 
 def is_prime(n: int) -> bool:
@@ -52,45 +55,78 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def smallest_prime_factor(n: int) -> int:
-    """Least divisor of n greater than 1 (n itself when n is irreducible).
+def _rho(n: int, c: int) -> int:
+    """A divisor g > 1 of odd composite n from the sequence y -> y^2 + c
+    mod n started at 2 (Brent's cycle search); g == n when the sequence
+    meets its cycle modulo every prime of n at once."""
+    y, r, q, g = 2, 1, 1, 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(_RHO_BATCH, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = math.gcd(q, n)
+            k += _RHO_BATCH
+        r *= 2
+    if g == n:  # the batch overshot: step through it one gcd at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(abs(x - ys), n)
+    return g
 
-    The cached primes are tried first, then a primality proof (below
-    _MR_PROOF_LIMIT); the sieve grows to sqrt(n) only when neither settles
-    n, so neither 2^100 nor a proven prime needs a sieve to sqrt(n).
+
+def _prime_factors(n: int) -> Iterator[int]:
+    """The prime factors of n >= 1, ascending with multiplicity.
+
+    Lazy: the primes below 2^10 come out before any larger part is tested,
+    so a small factor is found even when the cofactor would be refused.
     """
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            yield p
+            n //= p
+    # every prime left in n exceeds every prime yielded so far
+    parts, large = [n] if n > 1 else [], []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            if m >= MR_PROOF_LIMIT:
+                raise ValueError(
+                    f"cannot prove {m} prime: the 12-base Miller-Rabin test "
+                    f"is a proof only below {MR_PROOF_LIMIT}"
+                )
+            large.append(m)
+        else:
+            g = next(g for c in itertools.count(1) if (g := _rho(m, c)) != m)
+            parts += (g, m // g)
+    yield from sorted(large)
+
+
+def prime_factors(n: int) -> list[int]:
+    """Ascending prime multiset of n >= 1 (empty for 1)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return list(_prime_factors(n))
+
+
+def smallest_prime_factor(n: int) -> int:
+    """Least divisor of n greater than 1 (n itself when n is irreducible)."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    root = math.isqrt(n)
-    cached = _primes_upto(1)  # the cache as it stands, at least the primes to 2^10
-    for p in cached:
-        if p > root:
-            return n
-        if n % p == 0:
-            return p
-    if n < _MR_PROOF_LIMIT and is_prime(n):
-        return n
-    for p in itertools.islice(_primes_upto(root), len(cached), None):
-        if p > root:
-            break
-        if n % p == 0:
-            return p
-    return n
+    return next(_prime_factors(n))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization [(p, e), ...] with p ascending, by trial division."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    out: list[tuple[int, int]] = []
-    while n > 1:
-        p = smallest_prime_factor(n)
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
+    """Prime factorization [(p, e), ...] with p ascending."""
+    return [(p, len(list(run))) for p, run in itertools.groupby(prime_factors(n))]
 
 
 def divisors(n: int) -> list[int]:

@@ -4,12 +4,14 @@ The oracles here are deliberately independent of the library's fast paths:
 convolution by per-index trial division, classical functions by per-index
 factorization/counting or a per-multiple valuation loop, antichains by
 testing every pair, poset width by exhaustive antichain enumeration or
-by bipartite matching, lattice verdicts by checking every pair or triple.
+by bipartite matching, lattice verdicts by checking every pair or triple,
+the prime property by scanning every pair.
 Expected values frozen into tests were computed with these.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import deque
@@ -63,6 +65,16 @@ def trial_division(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def pair_scan(p: int, pairs) -> bool:
+    """p | ab implies p | a or p | b, checked on every given pair."""
+    return not any((a * b) % p == 0 and a % p != 0 and b % p != 0 for a, b in pairs)
+
+
+def pairs_upto(m: int):
+    """Every pair (a, b) with 1 <= a, b <= m."""
+    return itertools.product(range(1, m + 1), repeat=2)
 
 
 def naive_is_prime(n: int) -> bool:

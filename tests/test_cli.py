@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import time
 
-from arithring import Domain, build, epsilon, load_path, make, nu
-from arithring.cli import main
+import pytest
+
+from arithring import Domain, build, epsilon, kernels, load_path, make, nu
+from arithring.cli import _prime_property_upto, main
+
+from conftest import pair_scan, pairs_upto
 
 
 def run(capsys, *argv):
@@ -185,6 +190,59 @@ class TestLatticeCommands:
         assert code == 0 and out == "true\n"
         code, out, _ = run(capsys, "prime-check", "6", "--max-ab", "12")
         assert code == 1 and out == "false\n"
+        code, _, err = run(capsys, "prime-check", "1")
+        assert code == 2 and err == "error: need p >= 2, got 1\n"
+
+    def test_prime_check_matches_the_pair_scan(self):
+        for p in range(2, 301):
+            for m in range(0, 41):
+                assert _prime_property_upto(p, m) is pair_scan(p, pairs_upto(m)), (p, m)
+
+    def test_prime_check_near_the_square_of_the_bound(self):
+        for m in range(2, 60):
+            for p in (m * m - 1, m * m, m * m + 1, m * (m - 1), m * (m + 1), (m - 1) * (m + 1)):
+                if p >= 2:
+                    assert _prime_property_upto(p, m) is pair_scan(p, pairs_upto(m)), (p, m)
+
+
+class TestBoundedTime:
+    """Inputs the defaults accept finish well inside a wall budget, and no
+    prime list is built past the primes below 2^10."""
+
+    BUDGET_S = 2.0
+
+    @pytest.fixture(autouse=True)
+    def no_large_sieve(self, monkeypatch):
+        primes_mask = kernels.primes_mask
+
+        def guarded(n):
+            if n > 1 << 10:
+                raise AssertionError(f"sieve to {n}")
+            return primes_mask(n)
+
+        monkeypatch.setattr(kernels, "primes_mask", guarded)
+
+    def timed(self, capsys, *argv):
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < self.BUDGET_S, argv
+        return result
+
+    def test_euclid_of_a_semiprime_near_1e16(self, capsys):
+        p, q = 10**8 + 7, 10**8 + 37
+        code, out, _ = self.timed(capsys, "euclid", str(p * q))
+        assert code == 0 and out == f"{p} {q}\n"
+
+    def test_prime_check_of_a_large_bound(self, capsys):
+        code, out, _ = self.timed(capsys, "prime-check", "999983", "--max-ab", "100000")
+        assert code == 0 and out == "true\n"
+
+    def test_euclid_refuses_an_unprovable_prime(self, capsys):
+        psi12 = "318665857834031151167461"
+        code, out, err = self.timed(capsys, "euclid", psi12)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot prove ") and psi12 in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestErrors:
@@ -219,7 +277,7 @@ class TestErrors:
         def too_large(n):
             raise MemoryError("Unable to allocate 128. TiB for the sieve")
 
-        monkeypatch.setattr(numutil, "smallest_prime_factor", too_large)
+        monkeypatch.setattr(numutil, "prime_factors", too_large)
         code, out, err = run(capsys, "euclid", str(2**100 + 277))
         assert code == 2 and out == ""
         assert err == "error: Unable to allocate 128. TiB for the sieve\n"

@@ -7,6 +7,8 @@ import math
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arithring import (
     chain_cover,
@@ -34,6 +36,7 @@ from conftest import (
     brute_distributive,
     brute_force_width,
     matching_width,
+    pair_scan,
     pairwise_antichain,
     trial_division,
 )
@@ -408,6 +411,35 @@ class TestPrimeProperty:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             prime_property_check(1, [(2, 3)])
+
+    def test_proven_prime_reads_no_pairs(self):
+        def unread():
+            raise AssertionError("pairs were read")
+            yield
+
+        for p in (2, 7, 999983, 318665857834031151167441):  # the last is below psi_12
+            assert prime_property_check(p, unread())
+
+    def test_unproven_prime_is_scanned(self):
+        # psi_12 passes every Miller-Rabin base yet is composite: its two
+        # factors are a witness the scan must find
+        psi12 = 318665857834031151167461
+        assert numutil.is_prime(psi12)
+        assert not prime_property_check(psi12, [(1, 1), (399165290221, 798330580441)])
+
+    @given(
+        st.integers(2, 10**6).filter(numutil.is_prime),
+        st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))),
+    )
+    def test_agrees_with_the_pair_scan_for_primes(self, p, pairs):
+        assert prime_property_check(p, pairs) is pair_scan(p, pairs) is True
+
+    @given(
+        st.integers(4, 200).filter(lambda n: not numutil.is_prime(n)),
+        st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30))),
+    )
+    def test_agrees_with_the_pair_scan_for_composites(self, p, pairs):
+        assert prime_property_check(p, pairs) is pair_scan(p, pairs)
 
 
 class TestReportsAndDot:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from arithring import numutil
+from arithring import kernels, numutil
 
 from conftest import naive_divisor_list, naive_is_prime, trial_division
 
@@ -34,35 +36,97 @@ def test_smallest_prime_factor():
         numutil.smallest_prime_factor(1)
 
 
-def test_smallest_prime_factor_of_a_prime_builds_no_sieve(monkeypatch):
-    monkeypatch.setattr(numutil, "_prime_cache", [])
-    monkeypatch.setattr(numutil, "_prime_cache_limit", 0)
+@pytest.fixture
+def no_large_sieve(monkeypatch):
+    """Fail any prime sieve past 2^10, the small primes numutil divides by."""
+    primes_mask = kernels.primes_mask
+
+    def guarded(n):
+        if n > 1 << 10:
+            raise MemoryError(f"sieve to {n}")
+        return primes_mask(n)
+
+    monkeypatch.setattr(kernels, "primes_mask", guarded)
+
+
+def test_smallest_prime_factor_of_a_prime_builds_no_sieve(no_large_sieve):
     p = 70368744177643  # the largest prime below 2^46
     assert numutil.smallest_prime_factor(p) == p
-    assert numutil._prime_cache_limit < math.isqrt(p)
 
 
-def test_smallest_prime_factor_trusts_is_prime_only_below_its_proof_bound(monkeypatch):
-    # psi_12 = 399165290221 * 798330580441 is the least strong pseudoprime to
-    # all twelve bases and psi_13 = 1287836182261 * 2575672364521 the least
-    # one to those and 41: is_prime wrongly accepts both, so they must sieve
-    psi12 = 318665857834031151167461
-    psi13 = 3317044064679887385961981
-    assert numutil._MR_PROOF_LIMIT == psi12
-    primes_upto = numutil._primes_upto
+PSI12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
 
-    def no_large_sieve(limit):
-        if limit > 1 << 20:
-            raise MemoryError(f"sieve to {limit}")
-        return primes_upto(limit)
 
-    monkeypatch.setattr(numutil, "_primes_upto", no_large_sieve)
+def test_smallest_prime_factor_trusts_is_prime_only_below_its_proof_bound(no_large_sieve):
+    # psi_12 is the least strong pseudoprime to all twelve bases and psi_13
+    # the least one to those and 41: is_prime wrongly accepts both, so they
+    # are refused, by a message that names the proof bound
+    assert numutil.MR_PROOF_LIMIT == PSI12
     p = 318665857834031151167441  # the largest prime below psi12
     assert numutil.smallest_prime_factor(p) == p
-    for n in (psi12, psi13):
+    assert numutil.prime_factors(p) == [p]
+    for n in (PSI12, PSI13):
         assert numutil.is_prime(n)
-        with pytest.raises(MemoryError):
-            numutil.smallest_prime_factor(n)
+        for factor in (numutil.smallest_prime_factor, numutil.factorize):
+            with pytest.raises(ValueError, match=str(PSI12)):
+                factor(n)
+
+
+def test_a_small_factor_is_found_before_an_unprovable_cofactor(no_large_sieve):
+    assert numutil.smallest_prime_factor(2 * PSI12) == 2
+    with pytest.raises(ValueError, match=str(PSI12)):
+        numutil.prime_factors(2 * PSI12)
+
+
+@given(st.integers(1, 10**12 - 1))
+def test_prime_factors_match_trial_division(n):
+    expected = trial_division(n) if n > 1 else []
+    assert numutil.prime_factors(n) == expected
+    assert numutil.factorize(n) == [(p, expected.count(p)) for p in sorted(set(expected))]
+
+
+@pytest.mark.parametrize("p", [1031, 1217, 1249, 1277, 65537, 10**6 + 3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_powers_of_primes_above_the_small_primes(p, k):
+    assert numutil.prime_factors(p**k) == trial_division(p**k) == [p] * k
+
+
+# Chernick's (6k + 1)(12k + 1)(18k + 1) with all three factors prime
+CARMICHAEL = (
+    (1171, 2341, 3511),
+    (1237, 2473, 3709),
+    (1531, 3061, 4591),
+    (601747, 1203493, 1805239),
+)
+
+
+@pytest.mark.parametrize("factors", CARMICHAEL)
+def test_carmichael_numbers_with_large_factors(factors):
+    n = math.prod(factors)
+    assert all((n - 1) % (p - 1) == 0 for p in factors)  # Korselt's criterion
+    assert not numutil.is_prime(n)
+    assert numutil.prime_factors(n) == trial_division(n) == list(factors)
+
+
+def test_balanced_semiprimes():
+    n = 999983 * 1000003  # near 10^12
+    assert numutil.prime_factors(n) == trial_division(n) == [999983, 1000003]
+    # near 10^16 trial division is too slow to serve as the oracle; both
+    # factors are proven prime below psi_12
+    p, q = 10**8 + 7, 10**8 + 37
+    assert numutil.is_prime(p) and numutil.is_prime(q)
+    assert numutil.prime_factors(p * q) == [p, q]
+
+
+def test_rho_restarts_when_its_first_sequence_meets_every_cycle_at_once():
+    # y -> y^2 + 1 from 2 reaches its cycles modulo 1031 and 1223 in the
+    # same step, so that sequence yields n itself and c = 2 has to run
+    n = 1031 * 1223
+    assert numutil._rho(n, 1) == n
+    assert numutil.prime_factors(n) == trial_division(n) == [1031, 1223]
+    assert numutil.prime_factors(1217**2) == [1217, 1217]
+    assert numutil._rho(1217**2, 1) == 1217**2
 
 
 def test_factorize_and_divisors():
