@@ -22,7 +22,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from arithring import ArithFunc, Domain, make
+from arithring import ArithFunc, Domain, kernels, make
 
 # example timings swing on shared machines; a per-example deadline is flaky
 settings.register_profile("arithring", deadline=None)
@@ -290,6 +290,22 @@ def arith_funcs(
 
 def units(domain: Domain, min_bound: int = 1, max_bound: int = 32, max_abs: int = 9):
     return arith_funcs(domain, min_bound, max_bound, max_abs, unit=True)
+
+
+@pytest.fixture
+def no_large_sieve(monkeypatch):
+    """Fail any prime sieve past 2^10, the small primes numutil divides by.
+
+    AssertionError, not MemoryError, so that the CLI's exit-2 handler
+    cannot hide it."""
+    primes_mask = kernels.primes_mask
+
+    def guarded(n):
+        if n > 1 << 10:
+            raise AssertionError(f"sieve to {n}")
+        return primes_mask(n)
+
+    monkeypatch.setattr(kernels, "primes_mask", guarded)
 
 
 @pytest.fixture

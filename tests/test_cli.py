@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from arithring import Domain, build, epsilon, kernels, load_path, make, nu
+from arithring import Domain, build, epsilon, load_path, make, nu
 from arithring.cli import _prime_property_upto, main
 
 from conftest import pair_scan, pairs_upto
@@ -200,27 +200,17 @@ class TestLatticeCommands:
 
     def test_prime_check_near_the_square_of_the_bound(self):
         for m in range(2, 60):
-            for p in (m * m - 1, m * m, m * m + 1, m * (m - 1), m * (m + 1), (m - 1) * (m + 1)):
+            for p in (m * m - 1, m * m, m * m + 1, m * (m - 1), m * (m + 1), (m - 1) ** 2):
                 if p >= 2:
                     assert _prime_property_upto(p, m) is pair_scan(p, pairs_upto(m)), (p, m)
 
 
+@pytest.mark.usefixtures("no_large_sieve")
 class TestBoundedTime:
     """Inputs the defaults accept finish well inside a wall budget, and no
     prime list is built past the primes below 2^10."""
 
     BUDGET_S = 2.0
-
-    @pytest.fixture(autouse=True)
-    def no_large_sieve(self, monkeypatch):
-        primes_mask = kernels.primes_mask
-
-        def guarded(n):
-            if n > 1 << 10:
-                raise AssertionError(f"sieve to {n}")
-            return primes_mask(n)
-
-        monkeypatch.setattr(kernels, "primes_mask", guarded)
 
     def timed(self, capsys, *argv):
         start = time.perf_counter()

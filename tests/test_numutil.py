@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithring import kernels, numutil
+from arithring import numutil
 
 from conftest import naive_divisor_list, naive_is_prime, trial_division
 
@@ -34,19 +34,6 @@ def test_smallest_prime_factor():
         assert numutil.smallest_prime_factor(n) == trial_division(n)[0]
     with pytest.raises(ValueError):
         numutil.smallest_prime_factor(1)
-
-
-@pytest.fixture
-def no_large_sieve(monkeypatch):
-    """Fail any prime sieve past 2^10, the small primes numutil divides by."""
-    primes_mask = kernels.primes_mask
-
-    def guarded(n):
-        if n > 1 << 10:
-            raise MemoryError(f"sieve to {n}")
-        return primes_mask(n)
-
-    monkeypatch.setattr(kernels, "primes_mask", guarded)
 
 
 def test_smallest_prime_factor_of_a_prime_builds_no_sieve(no_large_sieve):
