@@ -12,9 +12,8 @@ Certificate rules (each reasons about the untruncated ring):
   leading-zero nonunits vanishes on every prime index.  Over Domain.Z a
   factor with |g(1)| = c >= 2 is also possible and forces c | f(q) for
   every prime q, so the rule additionally requires the f(q) values over
-  prime q to have gcd 1 there.
-* prime_rank (Domain.Q): the least nonzero index is prime; ranks multiply,
-  so one factor would have rank 1, i.e. be a unit.
+  prime q to have gcd 1 there.  Over Domain.Q the rule covers every prime
+  rank r, since f(r) != 0 at the prime index r.
 * prime_leading_magnitude (Domain.Z): |f(1)| is prime; leading magnitudes
   multiply, so one factor would have |g(1)| = 1, i.e. be a unit.
 """
@@ -52,14 +51,13 @@ class Verdict(Enum):
 
 
 PRIME_SUPPORT = "prime_support"
-PRIME_RANK = "prime_rank"
 PRIME_LEADING_MAGNITUDE = "prime_leading_magnitude"
 
 
 @dataclass(frozen=True)
 class Reason:
-    kind: str  # one of the three rule names above
-    value: int  # the prime index / rank / magnitude the rule fired on
+    kind: str  # one of the two rule names above
+    value: int  # the prime index / magnitude the rule fired on
 
 
 @dataclass(frozen=True)
@@ -97,11 +95,6 @@ def certify(f: ArithFunc) -> Certificate:
         hit = _prime_support(f)
         if hit is not None:
             return Certificate(Verdict.IRREDUCIBLE, Reason(PRIME_SUPPORT, hit))
-    # Over Q a prime rank a implies f(a) != 0 at the prime index a, so the
-    # unconditional prime-support rule above already caught it; this branch
-    # completes the decision tree but cannot fire through it.
-    if f.domain is Domain.Q and r.index > 1 and numutil.is_prime(r.index):
-        return Certificate(Verdict.IRREDUCIBLE, Reason(PRIME_RANK, r.index))
     if f.domain is Domain.Z:
         magnitude = abs(f._num.item(1))
         if magnitude >= 2 and numutil.is_prime(magnitude):

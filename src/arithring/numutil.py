@@ -7,14 +7,15 @@ below 2^10 are divided out first.  Each remaining part is then either
 proven prime by the 12-base Miller-Rabin test (a proof below psi_12) or
 split by Pollard-Brent rho (Brent, BIT 20, 1980), in about part^(1/4)
 steps, and both pieces recurse.  A part at or above psi_12 that the test
-calls prime cannot be proven prime, so it is refused with ValueError.
+calls prime cannot be proven prime, so it is refused with ValueError, and
+so is a part that rho cannot split within _RHO_MAX_STEPS steps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from typing import Iterator, Optional
 
 from . import kernels
 
@@ -29,6 +30,11 @@ _SMALL_PRIMES = tuple(kernels.primes_mask(1 << 10).nonzero()[0].tolist())
 
 # rho steps between gcds: one gcd per batch of products |x - y| mod n
 _RHO_BATCH = 128
+
+# rho steps allowed for one part, summed over its restarts.  A step costs
+# about 0.55 us on a 2-vCPU x86 host, so a refusal arrives within about 5 s;
+# a balanced 80-bit semiprime takes about 9 * 10^5 steps.
+_RHO_MAX_STEPS = 1 << 23
 
 
 def is_prime(n: int) -> bool:
@@ -55,12 +61,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rho(n: int, c: int) -> int:
+def _rho(n: int, c: int, budget: int) -> tuple[Optional[int], int]:
     """A divisor g > 1 of odd composite n from the sequence y -> y^2 + c
-    mod n started at 2 (Brent's cycle search); g == n when the sequence
-    meets its cycle modulo every prime of n at once."""
+    mod n started at 2 (Brent's cycle search), and the steps left of
+    `budget`.  g == n when the sequence meets its cycle modulo every prime
+    of n at once, and g is None when the next round of r + r steps would
+    pass the budget."""
     y, r, q, g = 2, 1, 1, 1
     while g == 1:
+        if 2 * r > budget:
+            return None, budget
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -72,13 +82,14 @@ def _rho(n: int, c: int) -> int:
                 q = q * abs(x - y) % n
             g = math.gcd(q, n)
             k += _RHO_BATCH
+        budget -= r + min(k, r)
         r *= 2
     if g == n:  # the batch overshot: step through it one gcd at a time
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
             g = math.gcd(abs(x - ys), n)
-    return g
+    return g, budget
 
 
 def _prime_factors(n: int) -> Iterator[int]:
@@ -105,7 +116,15 @@ def _prime_factors(n: int) -> Iterator[int]:
                 )
             large.append(m)
         else:
-            g = next(g for c in itertools.count(1) if (g := _rho(m, c)) != m)
+            g, budget, c = m, _RHO_MAX_STEPS, 0
+            while g == m:
+                c += 1
+                g, budget = _rho(m, c, budget)
+            if g is None:
+                raise ValueError(
+                    f"cannot split {m}: Pollard-Brent rho found no divisor "
+                    f"within {_RHO_MAX_STEPS} steps"
+                )
             parts += (g, m // g)
     yield from sorted(large)
 

@@ -4,8 +4,9 @@ The oracles here are deliberately independent of the library's fast paths:
 convolution by per-index trial division, classical functions by per-index
 factorization/counting or a per-multiple valuation loop, antichains by
 testing every pair, poset width by exhaustive antichain enumeration or
-by bipartite matching, lattice verdicts by checking every pair or triple,
-the prime property by scanning every pair.
+by bipartite matching, Hasse diagrams and lattice verdicts by checking
+every pair or triple, the prime property by scanning every pair.  The
+cover oracle checks a chain partition and its antichain certificate.
 Expected values frozen into tests were computed with these.
 """
 
@@ -127,6 +128,56 @@ def pairwise_antichain(members) -> bool:
     return not any(
         x % y == 0 or y % x == 0 for i, x in enumerate(members) for y in members[i + 1 :]
     )
+
+
+def big_omega(x: int, primes) -> int:
+    """Prime factors of x counted with multiplicity, x built from `primes`."""
+    count = 0
+    for p in primes:
+        while x % p == 0:
+            x //= p
+            count += 1
+    return count
+
+
+def validate_cover(poset, chains, antichain) -> None:
+    """Cover oracle: the chains partition the poset into proper divisor
+    steps, and the antichain is as large, with distinct divisors of one rank.
+
+    The lattice is graded by Omega, so distinct divisors of equal Omega are
+    pairwise incomparable: an O(w) test in place of O(w^2) pairs.
+    """
+    covered = [x for chain in chains for x in chain]
+    if sorted(covered) != list(poset.elements):
+        raise AssertionError("chains do not partition the divisor poset")
+    for chain in chains:
+        for x, y in zip(chain, chain[1:]):
+            if y % x != 0 or x == y:
+                raise AssertionError(f"chain link {x} -> {y} is not a proper divisor step")
+    if len(set(antichain)) != len(antichain):
+        raise AssertionError("antichain certificate repeats a member")
+    if any(poset.root % x for x in antichain):
+        raise AssertionError(f"antichain certificate holds a non-divisor of {poset.root}")
+    ranks = {big_omega(x, poset.atoms) for x in antichain}
+    if len(ranks) > 1:
+        raise AssertionError(f"antichain certificate mixes ranks {sorted(ranks)}")
+    if len(chains) != len(antichain):
+        raise AssertionError(
+            f"Dilworth equality failed: {len(chains)} chains vs "
+            f"{len(antichain)} antichain members"
+        )
+
+
+def covering_pairs(elements: list[int]) -> list[tuple[int, int]]:
+    """The Hasse diagram of the divisors of elements[-1] (int64-sized) by
+    testing every pair: each x < y with y / x prime, sorted."""
+    e = np.asarray(elements, np.int64)
+    primes = np.asarray(sorted(set(trial_division(elements[-1]))), np.int64)
+    pairs = []
+    for x in elements:
+        above = e[(e > x) & (e % x == 0)]
+        pairs += [(x, int(y)) for y in above[np.isin(above // x, primes)]]
+    return sorted(pairs)
 
 
 def brute_force_width(elements: list[int]) -> int:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from arithring import Domain, build, epsilon, load_path, make, nu
+from arithring import Domain, build, epsilon, load_path, make, nu, numutil
 from arithring.cli import _prime_property_upto, main
 
 from conftest import pair_scan, pairs_upto
@@ -232,6 +232,15 @@ class TestBoundedTime:
         code, out, err = self.timed(capsys, "euclid", psi12)
         assert code == 2 and out == ""
         assert err.startswith("error: cannot prove ") and psi12 in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_euclid_refuses_past_the_rho_step_cap(self, capsys, monkeypatch):
+        # a balanced 60-bit semiprime takes about 5 * 10^4 rho steps
+        monkeypatch.setattr(numutil, "_RHO_MAX_STEPS", 10**4)
+        n = str(1073741789 * 1073741827)
+        code, out, err = self.timed(capsys, "euclid", n)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot split {n}: ") and "10000 steps" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -28,22 +28,31 @@ from arithring import (
     width,
 )
 from arithring import cli, numutil
-from arithring import lattice as lattice_module
 from arithring.lattice import DEFAULT_ROOT_LIMIT
 
 from conftest import (
     brute_complements,
     brute_distributive,
     brute_force_width,
+    covering_pairs,
     matching_width,
+    naive_divisor_list,
     pair_scan,
     pairwise_antichain,
     trial_division,
+    validate_cover,
 )
 
 
 def squarefree(n: int) -> bool:
     return all(e == 1 for _, e in numutil.factorize(n))
+
+
+def checked_cover(poset):
+    """chain_cover(poset), after the cover oracle has passed it."""
+    cover = chain_cover(poset)
+    validate_cover(poset, cover.chains, cover.antichain)
+    return cover
 
 
 class TestCoIdeal:
@@ -93,6 +102,13 @@ class TestCoIdeal:
                 step = y // x
                 assert step in poset.atoms
 
+    def test_hasse_edges_are_the_covering_relation(self):
+        for a in range(1, 2000):
+            poset = co_ideal(a)
+            assert poset.hasse_edges == tuple(covering_pairs(naive_divisor_list(a))), a
+        poset = co_ideal(963761198400, root_limit=10**12)
+        assert poset.hasse_edges == tuple(covering_pairs(list(poset.elements)))
+
 
 class TestMeetJoin:
     def test_in_sixty(self):
@@ -131,62 +147,62 @@ class TestMeetJoin:
 
 class TestChainCover:
     def test_thirty_has_three_chains(self):
-        cover = chain_cover(co_ideal(30))
+        cover = checked_cover(co_ideal(30))
         assert cover.width == 3
         assert len(cover.antichain) == 3
 
     def test_twelve_has_two_chains(self):
-        cover = chain_cover(co_ideal(12))
+        cover = checked_cover(co_ideal(12))
         assert cover.width == 2
 
     def test_single_element(self):
-        cover = chain_cover(co_ideal(1))
+        cover = checked_cover(co_ideal(1))
         assert cover.chains == ((1,),)
         assert cover.antichain == (1,)
 
     def test_prime_power_is_one_chain(self):
-        cover = chain_cover(co_ideal(243))
+        cover = checked_cover(co_ideal(243))
         assert cover.chains == ((1, 3, 9, 27, 81, 243),)
 
     def test_two_ten_width_six_atoms_four(self):
         poset = co_ideal(210)
-        cover = chain_cover(poset)
+        cover = checked_cover(poset)
         assert cover.width == 6
         assert len(poset.atoms) == 4  # strictly fewer than the width
 
     def test_cover_is_deterministic(self):
         for a in (30, 360, 720720):
-            assert chain_cover(co_ideal(a)) == chain_cover(co_ideal(a))
+            assert checked_cover(co_ideal(a)) == checked_cover(co_ideal(a))
 
     def test_brute_force_width_small_roots(self):
         for a in (1, 2, 12, 30, 60, 210, 360, 1024, 9240):
             poset = co_ideal(a)
             if len(poset) <= 20:
-                assert chain_cover(poset).width == brute_force_width(list(poset.elements))
+                assert checked_cover(poset).width == brute_force_width(list(poset.elements))
 
     def test_width_depends_only_on_exponent_multiset(self):
         assert width(co_ideal(12)) == width(co_ideal(75))  # 2^2*3 vs 3*5^2
         assert width(co_ideal(30)) == width(co_ideal(1001))  # three distinct primes
 
     def test_dilworth_equality_exhaustive_small(self):
-        # chain_cover raises internally if |chains| != |antichain| or any
-        # chain/antichain is malformed; the pairwise oracle re-checks the
-        # antichain without the rank argument chain_cover relies on
+        # the cover oracle checks |chains| = |antichain| and the shape of
+        # both; the pairwise oracle re-checks the antichain without the
+        # rank argument the cover oracle relies on
         for a in range(1, 3000):
-            assert pairwise_antichain(chain_cover(co_ideal(a)).antichain), a
+            assert pairwise_antichain(checked_cover(co_ideal(a)).antichain), a
 
     @pytest.mark.parametrize("antichain", [(2, 4), (2, 2), (5, 3)])
     def test_validate_cover_rejects_bad_antichains(self, antichain):
         # comparable pair, duplicate member, non-divisor of 12
         poset = co_ideal(12)
-        chains = chain_cover(poset).chains
+        chains = checked_cover(poset).chains
         assert len(chains) == len(antichain)
-        with pytest.raises(RuntimeError, match="antichain"):
-            lattice_module._validate_cover(poset, chains, antichain)
+        with pytest.raises(AssertionError, match="antichain"):
+            validate_cover(poset, chains, antichain)
 
     def test_dilworth_equality_sampled_to_ten_thousand(self, rng):
         for _ in range(300):
-            chain_cover(co_ideal(rng.randint(3000, 10**4)))
+            checked_cover(co_ideal(rng.randint(3000, 10**4)))
 
     def test_atom_antichain_never_exceeds_width(self):
         for a in (2, 6, 30, 210, 2310, 30030, 720720):
@@ -304,17 +320,6 @@ class TestDistributiveBoolean:
         )
         assert gcd_lcm_identity_check(poset) is oracle is True
 
-    def test_gcd_lcm_identity_is_exact_above_int64_edge(self, monkeypatch):
-        # At (2**32, 2**32) a doubled lcm gives 2**65 against 2**64, equal
-        # mod 2**64: int64 products would hide the corrupt entry.
-        root = 1 << 32
-        poset = co_ideal(root, root_limit=root)
-        e, g, l = lattice_module._tables(poset)
-        l[-1, -1] *= 2
-        assert int(g[-1, -1]) * int(l[-1, -1]) != root * root
-        monkeypatch.setattr(lattice_module, "_tables", lambda _: (e, g, l))
-        assert not gcd_lcm_identity_check(poset)
-
 
 def _assert_verdicts_match_oracles(a: int) -> None:
     poset = co_ideal(a)
@@ -330,7 +335,7 @@ def _assert_verdicts_match_oracles(a: int) -> None:
     assert is_boolean(poset) is (distributive and unique), a
     oracle_width, koenig = matching_width(elems)
     assert len(koenig) == oracle_width
-    assert chain_cover(poset).width == oracle_width, a
+    assert checked_cover(poset).width == oracle_width, a
 
 
 class TestStructuralVerdicts:
@@ -356,11 +361,13 @@ class TestStructuralVerdicts:
         assert report["complemented"] is False and report["boolean"] is False
 
     def test_width_is_middle_coefficient(self):
-        # 963761198400 = 2^6 3^4 5^2 7 11 13 17 19 23: 6720 divisors; the
-        # middle coefficient of prod (1 + x + ... + x^e) is 882
-        poset = co_ideal(963761198400, root_limit=10**12)
-        assert len(poset) == 6720
-        assert chain_cover(poset).width == 882
+        # the width is the middle coefficient of prod (1 + x + ... + x^e):
+        # 2^5 3^4 5^2 7^2 11 13 17 89 (the benchmark's chain-cover shape)
+        # and 2^6 3^4 5^2 7 11 13 17 19 23
+        for root, divisors, middle in ((686983096800, 4320, 602), (963761198400, 6720, 882)):
+            poset = co_ideal(root, root_limit=10**12)
+            assert len(poset) == divisors
+            assert checked_cover(poset).width == middle
 
 
 class TestEuclidFactorization:
@@ -383,6 +390,14 @@ class TestEuclidFactorization:
         for n in (2, 30, 97, 1024, 9699690, 2**31 - 1):
             for p in euclid_factorization(n):
                 assert all(p % d != 0 for d in range(2, int(p**0.5) + 1))
+
+    def test_refuses_past_the_rho_step_cap(self, monkeypatch):
+        # a balanced 60-bit semiprime takes about 5 * 10^4 rho steps
+        p, q = 1073741789, 1073741827
+        assert euclid_factorization(p * q) == [p, q]
+        monkeypatch.setattr(numutil, "_RHO_MAX_STEPS", 10**4)
+        with pytest.raises(ValueError, match=f"cannot split {p * q}: .* within 10000 steps"):
+            euclid_factorization(p * q)
 
     def test_product_recovers_input(self, rng):
         import math

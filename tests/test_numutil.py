@@ -110,10 +110,24 @@ def test_rho_restarts_when_its_first_sequence_meets_every_cycle_at_once():
     # y -> y^2 + 1 from 2 reaches its cycles modulo 1031 and 1223 in the
     # same step, so that sequence yields n itself and c = 2 has to run
     n = 1031 * 1223
-    assert numutil._rho(n, 1) == n
+    assert numutil._rho(n, 1, numutil._RHO_MAX_STEPS)[0] == n
     assert numutil.prime_factors(n) == trial_division(n) == [1031, 1223]
     assert numutil.prime_factors(1217**2) == [1217, 1217]
-    assert numutil._rho(1217**2, 1) == 1217**2
+    assert numutil._rho(1217**2, 1, numutil._RHO_MAX_STEPS)[0] == 1217**2
+
+
+def test_rho_steps_are_capped_per_part_summed_over_restarts(monkeypatch):
+    # 1031 * 1223 takes 62 steps with c = 1, which end at n itself, and 30
+    # with c = 2: each run fits in 91 steps, their sum does not
+    n = 1031 * 1223
+    assert numutil._rho(n, 1, 91) == (n, 91 - 62)
+    assert numutil._rho(n, 2, 91) == (1223, 91 - 30)
+    monkeypatch.setattr(numutil, "_RHO_MAX_STEPS", 92)
+    assert numutil.prime_factors(n) == [1031, 1223]
+    monkeypatch.setattr(numutil, "_RHO_MAX_STEPS", 91)
+    with pytest.raises(ValueError, match=f"cannot split {n}: .* within 91 steps"):
+        numutil.prime_factors(n)
+    assert numutil.smallest_prime_factor(2 * n) == 2  # small primes come first
 
 
 def test_factorize_and_divisors():

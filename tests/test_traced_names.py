@@ -1,4 +1,5 @@
-"""Every function the benchmark tracer wraps exists under its traced name."""
+"""Every function the benchmark tracer wraps exists under its traced name,
+and every attribute its runner records for provenance exists."""
 
 from __future__ import annotations
 
@@ -22,3 +23,11 @@ def _traced_keys() -> list[str]:
 def test_traced_function_resolves(key):
     module, function = key.split(".")
     assert callable(getattr(importlib.import_module(f"arithring.{module}"), function))
+
+
+def test_provenance_attributes_resolve():
+    # perfbench/run.py records the backend and numba availability of every run
+    import arithring
+
+    assert arithring.active_backend() in arithring.kernels.BACKENDS
+    assert isinstance(arithring.kernels.HAVE_NUMBA, bool)
