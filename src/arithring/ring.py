@@ -22,11 +22,12 @@ route: the int64 kernel of :mod:`arithring.kernels` when its overflow
 gate passes, else the kernel on residues modulo a few primes and a CRT
 rebuild, or the exact divisor-pair loop where that costs less, and on
 the ``python`` backend, which converts F to lists at its edges.  The
-inverse of f is the quotient of epsilon by f, by one triangular solve:
-over Z (and over Q for a lead +-1/L) on F, in doubling blocks for a
-divisor of rank 1 (a relaxed solve; van der Hoeven, "Relax, but don't be
-too lazy", JSC 2002), sequentially otherwise, and on ``Fraction``s for a
-wide L and other Q leads.
+inverse of f is the quotient of epsilon by f, by one triangular solve
+over Z on F, in doubling blocks for a divisor of rank 1 (a relaxed
+solve; van der Hoeven, "Relax, but don't be too lazy", JSC 2002),
+sequentially otherwise.  Over Q the dividend is first scaled by a power
+of the divisor's integer lead, so every division is exact; only a
+``Fraction`` store takes the solve on ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -636,22 +637,32 @@ def _block_solve(a: np.ndarray, b: np.ndarray, n: int):
 def _solve(a: ArithFunc, b: ArithFunc, lead_idx: int):
     """Solve b * g = a at the common bound; (quotient, None) or (None, witness).
 
-    With a = A / L_a and b = B / L_b the quotient is (L_b / L_a) * q for
-    the Z quotient q of A by B, with the same witness.  That runs over Z,
-    and over Q when B(lead_idx) = +-1: in blocks for rank 1, else
-    sequentially.  Other operands take the Fraction solve on their values.
+    An operand that stores Fractions takes the Fraction solve on its values.
+    Otherwise the solve runs over Z on a = A / L_a and b = B / L_b, in
+    blocks for rank 1, else sequentially, with the same witness.  Over Q
+    with |B(r)| != 1, r = lead_idx, it divides s A by B, s = |B(r)|^K:
+    q(m) reads q(m') only for m' <= min(m - 1, rm / (r + 1)), so with K the
+    longest such chain from N / r every division by B(r) is exact, and a
+    residual at a non-multiple of r is only multiplied by s.  The quotient
+    is (L_b / (L_a s)) q, which the constructor reduces.
     """
     n = _common(a, b)
-    A, B, den = a._num[: n + 1], b._num[: n + 1], a._den
-    if a._den is None or b._den is None or a.domain is Domain.Q and B[lead_idx] not in (1, -1):
+    if a._den is None or b._den is None:
         q, witness = _divide_solve(a.values[:n], b.values[:n], n, lead_idx, a.domain)
-        den = None
-    elif lead_idx == 1 and kernels.int64_paths_enabled():
+        return (None, witness) if q is None else (ArithFunc(a.domain, q), None)
+    A, B, den = a._num[: n + 1], b._num[: n + 1], a._den
+    lead = abs(B.item(lead_idx))
+    if a.domain is Domain.Q and lead != 1:
+        m, s = n // lead_idx, 1
+        while m:  # one factor of |B(r)| per step of the chain from N / r
+            m, s = min(m - 1, lead_idx * m // (lead_idx + 1)), s * lead
+        A, den = _combine((A, s)), den * s
+    if lead_idx == 1 and kernels.int64_paths_enabled():
         q, witness = _block_solve(A, B, n)
     else:
         q, witness = _divide_solve(A[1:].tolist(), B[1:].tolist(), n, lead_idx, Domain.Z)
         q = q and _pack(q)
-    if q is not None and den is not None and b._den != 1:
+    if q is not None and b._den != 1:
         q = _combine((q, b._den))
     return (None, witness) if q is None else (ArithFunc(a.domain, q, den), None)
 

@@ -2,11 +2,13 @@
 
 A ``Domain.Q`` function stores integers F over their least common
 denominator L, and ``convolve``, ``inverse`` and ``divide`` run the ``Z``
-routes on F.  The oracles are the ``Fraction`` loops those routes
-replace, which the library keeps for leading values other than +-1/L and
-for L wider than ``ring._MAX_SCALE_BITS``: ``_convolve_exact`` with a
-``Fraction`` zero, and ``_divide_solve`` over ``Domain.Q``.  The inverse
-is the quotient of epsilon, so its oracle is ``_divide_solve`` of epsilon.
+routes on F, whatever the divisor's leading value: a lead other than
++-1/L scales the dividend by a power of the divisor's integer lead first.
+The oracles are the ``Fraction`` loops those routes replace, which the
+library keeps only for L wider than ``ring._MAX_SCALE_BITS``:
+``_convolve_exact`` with a ``Fraction`` zero, and ``_divide_solve`` over
+``Domain.Q``.  The inverse is the quotient of epsilon, so its oracle is
+``_divide_solve`` of epsilon.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from arithring import (
     Domain,
+    are_associates,
     build,
     convolve,
     divide,
@@ -27,6 +30,7 @@ from arithring import (
     inverse,
     make,
     rank,
+    scale,
 )
 from arithring import kernels, ring
 
@@ -41,8 +45,9 @@ DENOMINATORS = {
     "large": (1, 1000003, 1000033),
     "wide": (1, 1000003, 1000033, 1000037, 1000039, 1000081),
 }
-# F(1) is a multiple of 2, 3 or 5 for these leads, so never +-1
-FALLBACK_LEADS = (Fraction(2, 3), Fraction(-5, 2), Fraction(3), Fraction(-2))
+# F(1) is a multiple of 2, 3 or 5 for these leads, so never +-1: the
+# solve scales the dividend by a power of it
+SCALED_LEADS = (Fraction(2, 3), Fraction(-5, 2), Fraction(3), Fraction(-2))
 
 backends = pytest.mark.parametrize("backend", kernels.BACKENDS)
 
@@ -60,9 +65,9 @@ def rationals(draw, kind: str, min_size: int = 1, max_size: int = 40) -> list:
 
 @st.composite
 def leads(draw, rest: list) -> Fraction:
-    """A nonzero leading value: +-1/L (the integer route) or a fallback lead."""
+    """A nonzero leading value: +-1/L, solved as it is, or a lead the solve scales for."""
     if draw(st.booleans()):
-        return draw(st.sampled_from(FALLBACK_LEADS))
+        return draw(st.sampled_from(SCALED_LEADS))
     den = math.lcm(*(v.denominator for v in rest)) * draw(st.sampled_from((1, 2, 3)))
     return Fraction(draw(st.sampled_from((1, -1))), den)
 
@@ -154,22 +159,95 @@ def test_divide_matches_fraction_solve(backend, data):
         assert _all_fractions(got.quotient)
 
 
-def test_leads_pick_the_route(monkeypatch):
-    """+-1/L leads take the Z solves, a lead such as 2/3 the Fraction solve.
+def test_every_lead_takes_the_z_solves(monkeypatch):
+    """+-1/L leads and leads such as 2/3, 3 or -5/2 all take the Z solves.
 
-    Over Z the rank-1 inverse is solved in blocks and the rank-2 division
+    The rank-1 inverse is solved in blocks and the rank-2 division
     sequentially.
     """
     route = _route_of(monkeypatch, "_divide_solve")
     blocks = _route_of(monkeypatch, "_block_solve")  # records the bound
     rest = [Fraction(1, 2), Fraction(-3, 5), Fraction(0), Fraction(4, 7)]
-    for lead, domain in ((Fraction(1, 70), Z), (Fraction(-1, 140), Z), (Fraction(2, 3), Q)):
+    for lead in (Fraction(1, 70), Fraction(-1, 140), Fraction(2, 3), Fraction(3), Fraction(-5, 2)):
         f = make([lead] + rest, Q)
         inverse(f)
         divide(make([0] + rest, Q), make([0, lead] + rest, Q))
-        assert (blocks, route) == (([5], [Z]) if domain is Z else ([], [Q, Q]))
+        assert (blocks, route) == ([5], [Z])
         route.clear()
         blocks.clear()
+
+
+def test_scaled_leads_call_no_fraction_solve(monkeypatch):
+    """A lead-3 inverse, a division by lead -5/2 at rank 2 and
+    ``are_associates(2f, f)`` run on no Fraction solve and give its stores."""
+    rest = [Fraction(k % 7 - 3, k % 3 + 1) for k in range(1, 400)]
+    unit = make([Fraction(3)] + rest, Q)
+    den = make([0, Fraction(-5, 2)] + rest[1:], Q)
+    num = convolve(den, make(rest[::-1] + [Fraction(1, 3)], Q))
+    route = _route_of(monkeypatch, "_divide_solve")
+    got_inverse, got_quotient = inverse(unit), divide(num, den).quotient
+    assert are_associates(scale(unit, 2), unit)
+    assert divide(scale(unit, 2), unit).quotient == scale(epsilon(400, Q), 2)
+    assert Q not in route
+    monkeypatch.undo()
+    assert got_inverse == make(_fraction_inverse(unit), Q)
+    assert got_quotient == make(ring._divide_solve(num.values, den.values, 400, 2, Q)[0], Q)
+
+
+def test_wide_l_keeps_the_fraction_solve(monkeypatch):
+    """f(n) = 1/n stores Fractions, so its inverse is the Fraction solve."""
+    f = make([Fraction(1, k) for k in range(1, 300)], Q)
+    route = _route_of(monkeypatch, "_divide_solve")
+    inverse(f)
+    assert route == [Q]
+
+
+# 2^k - 1, 2^k and 2^k + 1 for k = 5 and 10: the longest halving chain from
+# N, so the power K of the lead that the solve scales by, steps at 2^k
+EDGES = (31, 32, 33, 1023, 1024, 1025)
+# b = 2 + nu_2 has inverse g(2^j) = (-1)^j / 2^(j + 1), so its L is
+# 2^bit_length(N), all of the scaling |B(1)|^K.  b = 1/2 + nu_2 / 3 stores
+# B = (3, 2, 0, ...) over L = 6: its rational lead has numerator 1, but each
+# division is by B(1) = 3; g(2^j) = 2 (-2/3)^j.
+POWER_CHAINS = (
+    ((2, 1), lambda j: Fraction((-1) ** j, 2 ** (j + 1))),
+    ((Fraction(1, 2), Fraction(1, 3)), lambda j: 2 * Fraction(-2, 3) ** j),
+)
+
+
+@backends
+@pytest.mark.parametrize("n", EDGES)
+@pytest.mark.parametrize("head, value", POWER_CHAINS)
+def test_inverse_along_the_longest_chain(backend, n, head, value):
+    f = make([*head] + [0] * (n - 2), Q)
+    with kernels.use_backend(backend):
+        got = inverse(f)
+    assert got.values == _fraction_inverse(f)
+    top = value(n.bit_length() - 1)
+    assert got[2 ** (n.bit_length() - 1)] == top
+    assert got._den == top.denominator
+
+
+@backends
+@pytest.mark.parametrize("n", (1023, 1024, 1025))
+@pytest.mark.parametrize("lead", (2, -3, 7))
+@pytest.mark.parametrize("r", (2, 3))
+def test_higher_rank_leads_match_fraction_solve(backend, n, lead, r):
+    """Rank 2 and 3 divisors with leads 2, -3 and 7, divided exactly and
+    with a witness planted at a non-multiple of r, give the Fraction solve's
+    quotient and witness."""
+    dens = (1, 2, 3, 5, 7)
+    den = make([0] * (r - 1) + [lead] + [Fraction(k % 5 - 2, dens[k % 5]) for k in range(n - r)], Q)
+    cofactor = make([Fraction(k % 7 - 3, dens[k % 3]) for k in range(n)], Q)
+    exact = convolve(den, cofactor)
+    at = n if n % r else n - 1  # the last non-multiple of r
+    planted = exact + make([0] * (at - 1) + [Fraction(1, 3)] + [0] * (n - at), Q)
+    for num, expected in ((exact, None), (planted, at)):
+        with kernels.use_backend(backend):
+            got = divide(num, den)
+        quotient, witness = ring._divide_solve(num.values, den.values, n, r, Q)
+        assert got.witness == witness == expected
+        assert got.quotient == (None if quotient is None else make(quotient, Q))
 
 
 @pytest.fixture
