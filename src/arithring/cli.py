@@ -2,9 +2,11 @@
 
 Every subcommand is a thin adapter over one library operation; no ring or
 lattice logic lives here (``prime-check`` reads its all-pairs question off
-the divisors of p).  Function arguments take a reference string: a built-in
-name from :mod:`arithring.classical` (``mobius``, ``sigma_2``, ...), an
-indicator ``nu_<r>``, or a path to a JSON/CSV function file.
+the divisors of p).  A subcommand takes only the options it reads, and
+``--format`` only the formats it renders; handlers return their result and
+:func:`main` renders it.  Function arguments take a reference string: a
+built-in name from :mod:`arithring.classical` (``mobius``, ``sigma_2``, ...),
+an indicator ``nu_<r>``, or a path to a JSON/CSV function file.
 
 Exit codes: 0 success, 1 domain/verdict failure (not divisible, not a unit,
 failed identity, ...), 2 usage or file-parse error, an input too large to
@@ -15,6 +17,7 @@ psi_12, where the Miller-Rabin test proves nothing).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -55,160 +58,121 @@ def _resolve(spec: str, bound: int, domain: Domain) -> ArithFunc:
     )
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _render_function(f: ArithFunc, fmt: str) -> str:
-    if fmt == "json":
-        return serialize.dumps(f) + "\n"
-    if fmt == "csv":
-        return serialize.to_csv(f)
-    if fmt == "text":
-        return "".join(f"{i} {v}\n" for i, v in enumerate(serialize.coefficient_strings(f), 1))
-    raise ValueError(f"format {fmt!r} not valid for function output")
-
-
-def _render_obj(obj, fmt: str, text_lines) -> str:
-    if fmt == "json":
-        return json.dumps(obj, separators=(",", ":")) + "\n"
-    if fmt == "text":
-        return "".join(line + "\n" for line in text_lines)
-    raise ValueError(f"format {fmt!r} not valid for report output")
+def _render(result, fmt: Optional[str]) -> tuple[str, int]:
+    """Text and exit code of a handler's result: an ArithFunc (exit 0), DOT
+    text (exit 0), a report ``(json_obj, text_lines, code)`` or a verdict
+    (``true``/``false``, exit 0/1).  A report prints its text lines in any
+    format but json."""
+    if isinstance(result, ArithFunc):
+        if fmt == "json":
+            return serialize.dumps(result) + "\n", 0
+        if fmt == "csv":
+            return serialize.to_csv(result), 0
+        values = serialize.coefficient_strings(result)
+        return "".join(f"{i} {v}\n" for i, v in enumerate(values, 1)), 0
+    if isinstance(result, str):
+        return result, 0
+    if isinstance(result, tuple):
+        obj, lines, code = result
+        if fmt == "json":
+            return json.dumps(obj, separators=(",", ":")) + "\n", code
+        return "".join(line + "\n" for line in lines), code
+    return ("true\n", 0) if result else ("false\n", 1)
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each returns a result for _render
 # ---------------------------------------------------------------------------
 
 
-def _cmd_fn_build(args) -> int:
-    f = _resolve(args.name, args.bound, args.domain)
-    _emit(_render_function(f, args.format or "json"), args.out)
-    return 0
+def _cmd_fn_build(args):
+    return _resolve(args.name, args.bound, args.domain)
 
 
-def _cmd_fn_eval(args) -> int:
+def _cmd_fn_eval(args):
     path = args.file or args.in_file
     if not path:
         raise ValueError("fn-eval needs a function file (positional or --in)")
-    f = serialize.load_path(path, domain=args.domain)
-    _emit(_render_function(f, args.format or "text"), args.out)
-    return 0
+    return serialize.load_path(path, domain=args.domain)
 
 
-def _binary(args, op) -> int:
-    lhs = _resolve(args.lhs, args.bound, args.domain)
-    rhs = _resolve(args.rhs, args.bound, args.domain)
-    _emit(_render_function(op(lhs, rhs), args.format or "text"), args.out)
-    return 0
+def _operands(args, *specs):
+    return [_resolve(spec, args.bound, args.domain) for spec in specs]
 
 
-def _cmd_add(args) -> int:
-    return _binary(args, add)
+def _cmd_add(args):
+    return add(*_operands(args, args.lhs, args.rhs))
 
 
-def _cmd_conv(args) -> int:
-    return _binary(args, convolve)
+def _cmd_conv(args):
+    return convolve(*_operands(args, args.lhs, args.rhs))
 
 
-def _cmd_inv(args) -> int:
-    f = _resolve(args.fn, args.bound, args.domain)
-    _emit(_render_function(inverse(f), args.format or "text"), args.out)
-    return 0
+def _cmd_inv(args):
+    return inverse(_resolve(args.fn, args.bound, args.domain))
 
 
-def _cmd_div(args) -> int:
-    num = _resolve(args.num, args.bound, args.domain)
-    den = _resolve(args.den, args.bound, args.domain)
-    result = divide(num, den)
+def _cmd_div(args):
+    result = divide(*_operands(args, args.num, args.den))
     if result.divisible:
-        _emit(_render_function(result.quotient, args.format or "text"), args.out)
-        return 0
+        return result.quotient
     obj = {"divisible": False, "witness": result.witness}
-    text = [f"not divisible at bound; first failing index {result.witness}"]
-    _emit(_render_obj(obj, args.format or "text", text), args.out)
-    return 1
+    return obj, [f"not divisible at bound; first failing index {result.witness}"], 1
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args):
     r = rank(_resolve(args.fn, args.bound, args.domain))
-    if r.visible:
-        obj = {
-            "visible": True,
-            "index": r.index,
-            "leading": serialize.coefficient_to_str(r.leading),
-        }
-        text = [f"rank {r.index}, leading {serialize.coefficient_to_str(r.leading)}"]
-    else:
-        obj = {"visible": False}
-        text = ["not visible at bound"]
-    _emit(_render_obj(obj, args.format or "text", text), args.out)
-    return 0
+    if not r.visible:
+        return {"visible": False}, ["not visible at bound"], 0
+    leading = serialize.coefficient_to_str(r.leading)
+    obj = {"visible": True, "index": r.index, "leading": leading}
+    return obj, [f"rank {r.index}, leading {leading}"], 0
 
 
-def _cmd_unit(args) -> int:
-    verdict = is_unit(_resolve(args.fn, args.bound, args.domain))
-    _emit("true\n" if verdict else "false\n", args.out)
-    return 0 if verdict else 1
+def _cmd_unit(args):
+    return is_unit(_resolve(args.fn, args.bound, args.domain))
 
 
-def _cmd_associates(args) -> int:
-    lhs = _resolve(args.lhs, args.bound, args.domain)
-    rhs = _resolve(args.rhs, args.bound, args.domain)
-    verdict = are_associates(lhs, rhs)
-    _emit("true\n" if verdict else "false\n", args.out)
-    return 0 if verdict else 1
+def _cmd_associates(args):
+    return are_associates(*_operands(args, args.lhs, args.rhs))
 
 
-def _cmd_certify(args) -> int:
+def _certificate_label(cert) -> str:
+    if cert.reason is None:
+        return cert.verdict.value
+    return f"{cert.verdict.value} ({cert.reason.kind} {cert.reason.value})"
+
+
+def _cmd_certify(args):
     cert = factorization.certify(_resolve(args.fn, args.bound, args.domain))
-    obj = cert.to_json_obj()
-    if cert.reason is not None:
-        text = [f"{cert.verdict.value} ({cert.reason.kind} {cert.reason.value})"]
-    else:
-        text = [cert.verdict.value]
-    _emit(_render_obj(obj, args.format or "text", text), args.out)
-    return 0
+    return cert.to_json_obj(), [_certificate_label(cert)], 0
 
 
-def _cmd_verify_fact(args) -> int:
+def _cmd_verify_fact(args):
     target = _resolve(args.target, args.bound, args.domain)
     unit_part = _resolve(args.unit, target.bound, args.domain)
     factors = tuple(_resolve(s, target.bound, args.domain) for s in args.factor or [])
     claim = factorization.FactorizationClaim(unit_part, factors)
     report = factorization.verify_factorization(target, claim)
-    text = [
-        f"unit part: {'ok' if report.unit_ok else 'NOT A UNIT'}",
-    ]
+    text = [f"unit part: {'ok' if report.unit_ok else 'NOT A UNIT'}"]
     for i, cert in enumerate(report.certificates):
-        label = cert.verdict.value
-        if cert.reason is not None:
-            label += f" ({cert.reason.kind} {cert.reason.value})"
         flag = "" if i not in report.unverified else "  [unverified]"
-        text.append(f"factor {i}: {label}{flag}")
+        text.append(f"factor {i}: {_certificate_label(cert)}{flag}")
     if report.product_ok:
         text.append("product: ok")
     else:
         text.append(f"product: mismatch at index {report.first_mismatch}")
-    _emit(_render_obj(report.to_json_obj(), args.format or "text", text), args.out)
-    return 0 if report.ok else 1
+    return report.to_json_obj(), text, 0 if report.ok else 1
 
 
-def _cmd_identity_suite(args) -> int:
+def _cmd_identity_suite(args):
     report = classical.identity_suite(args.bound, args.domain)
-    text = []
-    for c in report.checks:
-        status = "pass" if c.ok else f"FAIL at index {c.first_mismatch}"
-        text.append(f"{c.name}: {status}")
-    _emit(_render_obj(report.to_json_obj(), args.format or "text", text), args.out)
-    return 0 if report.ok else 1
+    text = [f"{c.name}: {'pass' if c.ok else f'FAIL at index {c.first_mismatch}'}"
+            for c in report.checks]
+    return report.to_json_obj(), text, 0 if report.ok else 1
 
 
-def _cmd_lattice_report(args) -> int:
+def _cmd_lattice_report(args):
     report = lattice.lattice_report(args.a)
     text = [
         f"divisors of {report['a']}: {len(report['elements'])} elements",
@@ -219,11 +183,10 @@ def _cmd_lattice_report(args) -> int:
         f"complemented: {str(report['complemented']).lower()}",
         f"boolean: {str(report['boolean']).lower()}",
     ]
-    _emit(_render_obj(report, args.format or "json", text), args.out)
-    return 0
+    return report, text, 0
 
 
-def _cmd_lattice_chains(args) -> int:
+def _cmd_lattice_chains(args):
     cover = lattice.chain_cover(lattice.co_ideal(args.a))
     obj = {
         "a": args.a,
@@ -233,23 +196,18 @@ def _cmd_lattice_chains(args) -> int:
     }
     text = [" ".join(str(x) for x in chain) for chain in cover.chains]
     text.append("antichain: " + " ".join(str(x) for x in cover.antichain))
-    _emit(_render_obj(obj, args.format or "text", text), args.out)
-    return 0
+    return obj, text, 0
 
 
-def _cmd_lattice_dot(args) -> int:
+def _cmd_lattice_dot(args):
     poset = lattice.co_ideal(args.a)
     chains = lattice.chain_cover(poset).chains if args.color_chains else None
-    _emit(lattice.to_dot(poset, chains), args.out)
-    return 0
+    return lattice.to_dot(poset, chains)
 
 
-def _cmd_euclid(args) -> int:
+def _cmd_euclid(args):
     factors = lattice.euclid_factorization(args.n)
-    obj = {"n": args.n, "factors": factors}
-    text = [" ".join(str(p) for p in factors)]
-    _emit(_render_obj(obj, args.format or "text", text), args.out)
-    return 0
+    return {"n": args.n, "factors": factors}, [" ".join(str(p) for p in factors)], 0
 
 
 def _prime_property_upto(p: int, m: int) -> bool:
@@ -267,10 +225,8 @@ def _prime_property_upto(p: int, m: int) -> bool:
     return not any(1 < g < p and g <= m and p // g <= m for g in numutil.divisors(p))
 
 
-def _cmd_prime_check(args) -> int:
-    ok = _prime_property_upto(args.p, args.max_ab)
-    _emit("true\n" if ok else "false\n", args.out)
-    return 0 if ok else 1
+def _cmd_prime_check(args):
+    return _prime_property_upto(args.p, args.max_ab)
 
 
 # ---------------------------------------------------------------------------
@@ -278,33 +234,41 @@ def _cmd_prime_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bound", type=int, default=DEFAULT_BOUND, metavar="N",
-                        help="truncation bound for built functions (default 1000)")
-    common.add_argument("--domain", type=Domain, choices=list(Domain),
-                        default=Domain(DEFAULT_DOMAIN), metavar="Q|Z",
-                        help="coefficient domain (default Q)")
-    common.add_argument("--out", default=None, metavar="FILE",
-                        help="write output here instead of stdout")
-    common.add_argument("--format", choices=("json", "csv", "dot", "text"),
-                        default=None, help="output format")
-
+    """The parser, built once per process.  A subcommand takes only the
+    options its handler reads, and --format only the formats it renders."""
     parser = argparse.ArgumentParser(
         prog="arithring",
         description="Exact truncated Dirichlet-convolution rings and divisor lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options = {
+        "bound": dict(type=int, default=DEFAULT_BOUND, metavar="N",
+                      help="truncation bound for built functions (default 1000)"),
+        "domain": dict(type=Domain, choices=list(Domain), default=Domain(DEFAULT_DOMAIN),
+                       metavar="Q|Z", help="coefficient domain (default Q)"),
+    }
+    ring, function, report = ("bound", "domain"), ("text", "json", "csv"), ("text", "json")
 
-    def cmd(name, handler, help_text, **kwargs):
-        p = sub.add_parser(name, parents=[common], help=help_text, **kwargs)
+    def cmd(name, handler, help_text, *option_names, formats=(), default="text"):
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
+        for option in option_names:
+            p.add_argument(f"--{option}", **options[option])
+        if formats:
+            p.add_argument("--format", choices=formats, default=default,
+                           help=f"output format (default {default})")
+        p.add_argument("--out", default=None, metavar="FILE",
+                       help="write output here instead of stdout")
         return p
 
-    p = cmd("fn-build", _cmd_fn_build, "construct a built-in function")
+    p = cmd("fn-build", _cmd_fn_build, "construct a built-in function", *ring,
+            formats=function, default="json")
     p.add_argument("name", help="built-in name, e.g. mobius, sigma_2, nu_6")
 
-    p = cmd("fn-eval", _cmd_fn_eval, "print a function file's exact values")
+    p = cmd("fn-eval", _cmd_fn_eval, "print a function file's exact values", "domain",
+            formats=function)
     p.add_argument("file", nargs="?", default=None, help="function file (or use --in)")
     p.add_argument("--in", dest="in_file", default=None, metavar="FILE",
                    help="input function file")
@@ -313,41 +277,46 @@ def build_parser() -> argparse.ArgumentParser:
         ("add", _cmd_add, "pointwise sum of two functions"),
         ("conv", _cmd_conv, "Dirichlet convolution of two functions"),
     ):
-        p = cmd(name, handler, help_text)
+        p = cmd(name, handler, help_text, *ring, formats=function)
         p.add_argument("--lhs", required=True, help="left operand (name, nu_<r>, or file)")
         p.add_argument("--rhs", required=True, help="right operand (name, nu_<r>, or file)")
 
-    p = cmd("inv", _cmd_inv, "convolution inverse of a unit")
+    p = cmd("inv", _cmd_inv, "convolution inverse of a unit", *ring, formats=function)
     p.add_argument("fn", help="function (name, nu_<r>, or file)")
 
-    p = cmd("div", _cmd_div, "exact division at bound (exit 1 if not divisible)")
+    p = cmd("div", _cmd_div, "exact division at bound (exit 1 if not divisible)", *ring,
+            formats=function)
     p.add_argument("--num", required=True, help="numerator (name, nu_<r>, or file)")
     p.add_argument("--den", required=True, help="denominator (name, nu_<r>, or file)")
 
-    p = cmd("rank", _cmd_rank, "least index with a nonzero value")
+    p = cmd("rank", _cmd_rank, "least index with a nonzero value", *ring, formats=report)
     p.add_argument("fn", help="function (name, nu_<r>, or file)")
 
-    p = cmd("unit", _cmd_unit, "test invertibility (exit 1 if not a unit)")
+    p = cmd("unit", _cmd_unit, "test invertibility (exit 1 if not a unit)", *ring)
     p.add_argument("fn", help="function (name, nu_<r>, or file)")
 
-    p = cmd("associates", _cmd_associates, "mutual divisibility test")
+    p = cmd("associates", _cmd_associates, "mutual divisibility test", *ring)
     p.add_argument("lhs", help="left function (name, nu_<r>, or file)")
     p.add_argument("rhs", help="right function (name, nu_<r>, or file)")
 
-    p = cmd("certify", _cmd_certify, "irreducibility certificate")
+    p = cmd("certify", _cmd_certify, "irreducibility certificate", *ring, formats=report)
     p.add_argument("fn", help="function (name, nu_<r>, or file)")
 
-    p = cmd("verify-fact", _cmd_verify_fact, "check a claimed factorization")
+    p = cmd("verify-fact", _cmd_verify_fact, "check a claimed factorization", *ring,
+            formats=report)
     p.add_argument("target", help="function being factored (name, nu_<r>, or file)")
     p.add_argument("--unit", default="epsilon", help="unit part (default epsilon)")
     p.add_argument("--factor", action="append", help="irreducible factor (repeatable)")
 
-    cmd("identity-suite", _cmd_identity_suite, "classical convolution identities")
+    cmd("identity-suite", _cmd_identity_suite, "classical convolution identities", *ring,
+        formats=report)
 
-    p = cmd("lattice-report", _cmd_lattice_report, "divisor lattice summary")
+    p = cmd("lattice-report", _cmd_lattice_report, "divisor lattice summary",
+            formats=report, default="json")
     p.add_argument("a", type=int)
 
-    p = cmd("lattice-chains", _cmd_lattice_chains, "minimum chain partition + antichain")
+    p = cmd("lattice-chains", _cmd_lattice_chains, "minimum chain partition + antichain",
+            formats=report)
     p.add_argument("a", type=int)
 
     p = cmd("lattice-dot", _cmd_lattice_dot, "Hasse diagram in DOT")
@@ -355,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--color-chains", action="store_true",
                    help="color nodes by minimum chain partition")
 
-    p = cmd("euclid", _cmd_euclid, "factor an integer by divisor-chain descent")
+    p = cmd("euclid", _cmd_euclid, "factor an integer by divisor-chain descent", formats=report)
     p.add_argument("n", type=int)
 
     p = cmd("prime-check", _cmd_prime_check, "p | ab implies p | a or p | b, for all a, b <= M")
@@ -367,13 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        text, code = _render(args.handler(args), getattr(args, "format", None))
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (serialize.ParseError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -5,9 +5,10 @@ JSON carries the domain tag:
     {"domain": "Q" | "Z", "bound": N, "values": ["1", "-3", "5/2", ...]}
 
 Rationals are reduced strings "p/q" with the "/q" part omitted when the
-denominator is 1.  CSV is the bare value table, one "index,value" line per
-index 1..N; it carries no domain tag, so loaders take the domain as an
-argument (the CLI passes its --domain flag).
+denominator is 1.  "bound" may be left out; when present it must be a JSON
+integer equal to the number of values.  CSV is the bare value table, one
+"index,value" line per index 1..N; it carries no domain tag, so loaders take
+the domain as an argument (the CLI passes its --domain flag).
 """
 
 from __future__ import annotations
@@ -66,9 +67,12 @@ def from_json_obj(obj) -> ArithFunc:
     values = obj.get("values")
     if not isinstance(values, list) or not values:
         raise ParseError("'values' must be a nonempty list")
-    bound = obj.get("bound")
-    if bound is not None and bound != len(values):
-        raise ParseError(f"bound {bound} disagrees with {len(values)} values")
+    if "bound" in obj:
+        bound = obj["bound"]
+        if type(bound) is not int:  # bool is an int subclass; 2.0 and "2" are not ints
+            raise ParseError(f"bound must be a JSON integer, got {bound!r}")
+        if bound != len(values):
+            raise ParseError(f"bound {bound} disagrees with {len(values)} values")
     try:
         return make(values, domain)
     except Exception as exc:
@@ -105,6 +109,8 @@ def from_csv(text: str, domain: Domain = Domain.Q) -> ArithFunc:
             idx = int(parts[0])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad index {parts[0]!r}") from exc
+        if idx < 1:
+            raise ParseError(f"line {lineno}: index {idx} is below 1")
         if idx in entries:
             raise ParseError(f"line {lineno}: duplicate index {idx}")
         entries[idx] = parts[1].strip()

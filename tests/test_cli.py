@@ -285,9 +285,9 @@ class TestErrors:
         assert run(capsys, "--help")[0] == 0
 
     def test_dot_format_invalid_for_functions(self, capsys):
-        code, _, err = run(capsys, "fn-build", "one", "--format", "dot")
-        assert code == 2
-        assert "not valid" in err
+        code, out, err = run(capsys, "fn-build", "one", "--format", "dot")
+        assert code == 2 and out == ""
+        assert "argument --format: invalid choice: 'dot'" in err
 
 
 def test_epsilon_equivalents(capsys):

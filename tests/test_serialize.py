@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,26 @@ def test_json_rejects_malformed():
         from_json_obj(["1"])
     with pytest.raises(ParseError):
         from_json_obj({"domain": "Z", "values": ["1/2"]})
+
+
+@pytest.mark.parametrize("bound", ["2", True, 2.0, None, [2]])
+def test_json_bound_must_be_an_integer(bound):
+    obj = {"domain": "Q", "bound": bound, "values": ["1", "2"]}
+    with pytest.raises(ParseError, match=r"^bound must be a JSON integer, got "):
+        from_json_obj(obj)
+    with pytest.raises(ParseError, match=r"^bound must be a JSON integer, got "):
+        loads(json.dumps(obj))
+
+
+def test_json_bound_may_be_left_out_or_match():
+    assert from_json_obj({"domain": "Z", "values": ["1", "2"]}) == make([1, 2], Z)
+    assert loads('{"domain": "Z", "bound": 2, "values": ["1", "2"]}') == make([1, 2], Z)
+
+
+@pytest.mark.parametrize("index", ["0", "-1", "-7"])
+def test_csv_index_below_one_names_its_line(index):
+    with pytest.raises(ParseError, match=rf"^line 2: index {index} is below 1$"):
+        from_csv(f"1,1\n{index},5\n2,3\n", Q)
 
 
 def test_path_round_trip_infers_format(tmp_path):
