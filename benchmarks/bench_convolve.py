@@ -2,7 +2,7 @@
 """Benchmark the int64 numpy kernels against the exact big-int route.
 
 Times Dirichlet convolution with the hyperbola-split numpy kernel and with
-the exact pure-Python divisor-pair loop (the ``python`` backend's route) on
+the exact pure-Python divisor-pair loop (``ring._convolve_exact``) on
 the same values, plus the multiplicative sieves.  The exact loop is timed only
 up to ``MAX_EXACT``.  Two ``Q`` rows time ``ring.convolve`` over rationals
 against the ``Fraction`` loop at N = 10^4 and assert that both give the same

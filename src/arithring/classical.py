@@ -15,9 +15,9 @@ request):
     pi_squared          (number of primes <= n)^2
 
 Generation is by per-prime valuation passes (the numpy kernels), never
-per-index factorization.  Past the int64 gates, or under the ``python``
-backend, the same sieve runs over Python ints.  Either way the sieve's
-1-indexed array becomes the function's store as it is.
+per-index factorization.  Past the int64 gates the same sieve runs over
+Python ints.  Either way the sieve's 1-indexed array becomes the
+function's store as it is.
 """
 
 from __future__ import annotations
@@ -90,14 +90,14 @@ def _dispatch(name: str, n: int) -> ArithFunc:
 
 
 def _id_pow(n: int, k: int) -> ArithFunc:
-    if kernels.int64_paths_enabled() and n**k < kernels.I64_SAFE:
+    if n**k < kernels.I64_SAFE:
         return ArithFunc(Domain.Z, np.arange(n + 1, dtype=np.int64) ** k, 1)
     return make([i**k for i in range(1, n + 1)], Domain.Z)
 
 
 def _sieve(n: int, kernel: str, rule, *args, fits_i64: bool = True) -> ArithFunc:
     """kernels.<kernel>(n, *args) inside the int64 gate, else rule's sieve over ints."""
-    if kernels.int64_paths_enabled() and fits_i64:
+    if fits_i64:
         return ArithFunc(Domain.Z, getattr(kernels, kernel)(n, *args), 1)
     return ArithFunc(Domain.Z, kernels._multiplicative(n, rule, object), 1)
 

@@ -269,9 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("fn-eval", _cmd_fn_eval, "print a function file's exact values", "domain",
             formats=function)
-    p.add_argument("file", nargs="?", default=None, help="function file (or use --in)")
-    p.add_argument("--in", dest="in_file", default=None, metavar="FILE",
-                   help="input function file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("file", nargs="?", default=None, help="function file (or use --in)")
+    source.add_argument("--in", dest="in_file", default=None, metavar="FILE",
+                        help="input function file")
 
     for name, handler, help_text in (
         ("add", _cmd_add, "pointwise sum of two functions"),

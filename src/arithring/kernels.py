@@ -6,14 +6,9 @@ strided pass per prime up to sqrt(n), and over ``dtype=object`` it is the
 exact big-int route.  Products too wide for the gate also run on
 :func:`convolve_i64`: ``ring`` reduces them modulo primes p whose residues
 pass :func:`convolution_fits_i64` with max_a = max_b = p - 1, one kernel
-call per prime, and rebuilds the exact values from the residues.
-
-Select the route with the ``ARITHRING_BACKEND`` environment variable
-(``numpy`` or ``python``) or at runtime via :func:`set_backend`.  The
-``python`` setting disables the int64 fast paths entirely, forcing callers
-onto their exact big-int code, the reference the int64 route is tested
-against; primality masks and the sieve's cofactors stay int64 numpy since
-they hold no function values.
+call per prime, and rebuilds the exact values from the residues.  The
+operands alone choose the route; primality masks and the sieve's
+cofactors are int64 on every route, since they hold no function values.
 
 All arrays here are 1-indexed: length ``n + 1`` with slot 0 unused (zero).
 Every kernel is exact in int64; callers must gate inputs so no intermediate
@@ -23,57 +18,22 @@ can overflow (see :func:`convolution_fits_i64`).
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 
 import numpy as np
 
-# numba support was removed; the flag stays because the benchmark harness
-# (perfbench/run.py) records it in every result's provenance.
+# Kept for the benchmark's provenance: perfbench/run.py records both in
+# every result.  numba is not used, and the int64 route is numpy whatever
+# the input.
 HAVE_NUMBA = False
 
-ENV_VAR = "ARITHRING_BACKEND"
-BACKENDS = ("numpy", "python")
+
+def active_backend() -> str:
+    return "numpy"
+
 
 # 2**62 leaves one spare bit below int64; convolution partial sums of k terms
 # bounded by max|a| * max|b| * k never wrap if the full bound clears this.
 I64_SAFE = 1 << 62
-
-
-def _initial_backend() -> str:
-    env = os.environ.get(ENV_VAR, "").strip().lower()
-    if env and env not in BACKENDS:
-        raise ValueError(f"{ENV_VAR}={env!r}: expected one of {', '.join(BACKENDS)}")
-    return env or "numpy"
-
-
-_backend = _initial_backend()
-
-
-def active_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}")
-    _backend = name
-
-
-@contextmanager
-def use_backend(name: str):
-    previous = _backend
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-def int64_paths_enabled() -> bool:
-    """False when the exact pure-python routes were forced via the env flag."""
-    return _backend != "python"
 
 
 def convolution_fits_i64(max_a: int, max_b: int, n: int) -> bool:

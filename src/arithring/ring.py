@@ -20,8 +20,7 @@ scalar multiples run on F, in int64 behind an exact gate.
 f * g = (F * G) / (L_f L_g), so both domains multiply on one integer
 route: the int64 kernel of :mod:`arithring.kernels` when its overflow
 gate passes, else the kernel on residues modulo a few primes and a CRT
-rebuild, or the exact divisor-pair loop where that costs less, and on
-the ``python`` backend, which converts F to lists at its edges.  The
+rebuild, or the exact divisor-pair loop where that costs less.  The
 inverse of f is the quotient of epsilon by f, by one triangular solve
 over Z on F, in doubling blocks for a divisor of rank 1 (a relaxed
 solve; van der Hoeven, "Relax, but don't be too lazy", JSC 2002),
@@ -302,7 +301,7 @@ def _combine(*terms) -> np.ndarray:
     """The exact sum of c * arr over the (arr, c) terms of integer arrays: int64
     when sum of |c| * max(1, max|arr|) < 2**63, which bounds every |c|,
     product and partial sum; else object, not narrowed."""
-    if (not kernels.int64_paths_enabled() or any(arr.dtype == object for arr, _ in terms)
+    if (any(arr.dtype == object for arr, _ in terms)
             or sum(abs(c) * max(1, _peak(arr)) for arr, c in terms) >> 63):
         terms = [(arr.astype(object), c) for arr, c in terms]
     out = None
@@ -410,11 +409,10 @@ def _operand(arr: np.ndarray):
 
 def _try_convolve_i64(pa, pb, n: int, lo: int = 0) -> Optional[np.ndarray]:
     """The int64 kernel's product of two operands, zero on 0..lo; None when the
-    gate fails or on the ``python`` backend."""
+    gate fails."""
     (arr_a, max_a), (arr_b, max_b) = pa, pb
     # the gate alone would pass an object operand beside an all-zero one, at max 0
-    if (object in (arr_a.dtype, arr_b.dtype) or not kernels.int64_paths_enabled()
-            or not kernels.convolution_fits_i64(max_a, max_b, n)):
+    if object in (arr_a.dtype, arr_b.dtype) or not kernels.convolution_fits_i64(max_a, max_b, n):
         return None
     out = kernels.convolve_i64(arr_a, arr_b)
     out[: lo + 1] = 0
@@ -532,7 +530,7 @@ def _product(pa, pb, n: int, lo: int = 0) -> np.ndarray:
     _CRT_MAX_PRIMES primes are needed or the exact loop visits at most
     k * (n + _CRT_PASS_PAIRS * 2 * isqrt(n)) divisor pairs: small n, or an
     operand with few nonzero values, which the loop puts outside (`pa` on a
-    tie).  The ``python`` backend takes the loop, on lists.
+    tie).
     """
     if (fast := _try_convolve_i64(pa, pb, n, lo)) is not None:
         return fast
@@ -540,8 +538,7 @@ def _product(pa, pb, n: int, lo: int = 0) -> np.ndarray:
     primes = _crt_primes(n, bound)
     outer, inner = sorted((pa[0], pb[0]), key=np.count_nonzero)
     pairs = int((n // np.flatnonzero(outer)).sum())
-    loop = primes is None or pairs <= len(primes) * (n + _CRT_PASS_PAIRS * 2 * math.isqrt(n))
-    if loop or not kernels.int64_paths_enabled():
+    if primes is None or pairs <= len(primes) * (n + _CRT_PASS_PAIRS * 2 * math.isqrt(n)):
         return _pack([0] * lo + _exact_loop(outer[1:].tolist(), inner[1:].tolist(), n, 0, lo))
     return _convolve_crt(pa, pb, n, bound, primes, lo)
 
@@ -657,7 +654,7 @@ def _solve(a: ArithFunc, b: ArithFunc, lead_idx: int):
         while m:  # one factor of |B(r)| per step of the chain from N / r
             m, s = min(m - 1, lead_idx * m // (lead_idx + 1)), s * lead
         A, den = _combine((A, s)), den * s
-    if lead_idx == 1 and kernels.int64_paths_enabled():
+    if lead_idx == 1:
         q, witness = _block_solve(A, B, n)
     else:
         q, witness = _divide_solve(A[1:].tolist(), B[1:].tolist(), n, lead_idx, Domain.Z)

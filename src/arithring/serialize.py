@@ -73,6 +73,9 @@ def from_json_obj(obj) -> ArithFunc:
             raise ParseError(f"bound must be a JSON integer, got {bound!r}")
         if bound != len(values):
             raise ParseError(f"bound {bound} disagrees with {len(values)} values")
+    if bool in map(type, values):  # make would take true and false as 1 and 0
+        at = next(i for i, v in enumerate(values, 1) if type(v) is bool)
+        raise ParseError(f"value {at} is a JSON boolean, not a coefficient")
     try:
         return make(values, domain)
     except Exception as exc:

@@ -123,6 +123,28 @@ def exact_multiplicative(n: int, prime_power_value) -> ArithFunc:
     return make(out[1:], Domain.Z)
 
 
+def sigma_prime_power(k: int):
+    """sigma_k(p^e) by the geometric sum's closed form; tau(p^e) = e + 1 at k = 0."""
+    return lambda p, e: (p ** (k * (e + 1)) - 1) // (p**k - 1) if k else e + 1
+
+
+# f(p^e) of each built-in multiplicative function, for exact_multiplicative
+PRIME_POWER_VALUES = {
+    "mobius": lambda p, e: -1 if e == 1 else 0,
+    "euler_phi": lambda p, e: p**e - p ** (e - 1),
+    "tau": sigma_prime_power(0),
+    "liouville_lambda": lambda p, e: (-1) ** e,
+}
+
+
+def object_sieve(name: str, n: int) -> ArithFunc:
+    """The built-in multiplicative `name` (sigma_<k> included) by the
+    library's sieve over Python ints, past every int64 gate."""
+    head, _, k = name.partition("_")
+    rule = kernels.sigma_rule(int(k)) if head == "sigma" else kernels.RULES[name][1]
+    return ArithFunc(Domain.Z, kernels._multiplicative(n, rule, object), 1)
+
+
 def pairwise_antichain(members) -> bool:
     """No member divides another, tested over every pair (duplicates fail)."""
     return not any(
@@ -341,6 +363,28 @@ def arith_funcs(
 
 def units(domain: Domain, min_bound: int = 1, max_bound: int = 32, max_abs: int = 9):
     return arith_funcs(domain, min_bound, max_bound, max_abs, unit=True)
+
+
+# 2**64 + 1 = 274177 * 67280421310721: a multiple of it by a nonzero value
+# is past int64, and it is coprime to every denominator the tests draw
+WIDE = (1 << 64) + 1
+
+
+def widened(values: list) -> list:
+    """values with every entry but the first multiplied by WIDE."""
+    return values[:1] + [v * WIDE for v in values[1:]]
+
+
+def widen(f: ArithFunc) -> ArithFunc:
+    """f with f(n) multiplied by WIDE for n > 1.  f(1), the rank and L stay,
+    but F holds Python ints (dtype object) wherever some f(n) != 0, n > 1."""
+    return make(widened(list(f.values)), f.domain)
+
+
+# The two stores a route test runs on.  "numpy" takes the operands as drawn,
+# whose F fits int64 and meets the int64 kernel; "python" widens them, so F
+# holds Python ints and every product and solve runs past the kernel's gate.
+stores = pytest.mark.parametrize("wide", [False, True], ids=["numpy", "python"])
 
 
 @pytest.fixture

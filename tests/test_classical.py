@@ -19,6 +19,8 @@ from conftest import (
     naive_phi,
     naive_sigma,
     naive_tau,
+    object_sieve,
+    sigma_prime_power,
 )
 
 Q, Z = Domain.Q, Domain.Z
@@ -131,20 +133,19 @@ class TestOverflowGateEdges:
             return sigma_i64(*args)
 
         monkeypatch.setattr(kernels, "sigma_i64", spy)
-        with kernels.use_backend("numpy"):
-            f = build(f"sigma_{k}", n, Z)
+        f = build(f"sigma_{k}", n, Z)
         assert f.values == tuple(naive_sigma(m, k) for m in range(1, n + 1))
         assert calls == ([(n, k)] if i64 else [])
 
     @pytest.mark.parametrize("n, k", [(2, 61), (8, 20), (2, 62), (8, 21)])
     def test_id(self, n, k):
-        with kernels.use_backend("numpy"):
-            f = build(f"id_{k}", n, Z)
+        f = build(f"id_{k}", n, Z)
         assert f.values == tuple(m**k for m in range(1, n + 1))
 
 
 class TestSympyAgreement:
-    """The sieves on every backend against sympy's per-index number theory at N = 3000."""
+    """The sieves, int64 and over Python ints, against sympy's per-index
+    number theory at N = 3000."""
 
     N = 3000
     ORACLES = {
@@ -160,37 +161,31 @@ class TestSympyAgreement:
     def test_multiplicative(self, name):
         oracle = self.ORACLES[name]
         want = [int(oracle(n)) for n in range(1, self.N + 1)]
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
-                f = build(name, self.N, Z)
-            assert list(f.values) == want, backend
+        assert list(build(name, self.N, Z).values) == want
+        assert list(object_sieve(name, self.N).values) == want
 
     def test_prime_char_prefix_sums_count_primes(self):
         want = [int(sympy.primepi(n)) for n in range(1, self.N + 1)]
-        for backend in kernels.BACKENDS:
-            with kernels.use_backend(backend):
-                f = build("prime_char", self.N, Z)
-            assert list(itertools.accumulate(f.values)) == want, backend
+        f = build("prime_char", self.N, Z)
+        assert list(itertools.accumulate(f.values)) == want
+
+    def test_pi_squared_matches_sympy(self):
+        n = 3000
+        f = build("pi_squared", n, Z)
+        assert list(f.values) == [int(sympy.primepi(m)) ** 2 for m in range(1, n + 1)]
 
 
-@pytest.mark.parametrize("backend", kernels.BACKENDS)
+@pytest.mark.parametrize("sieve", ["numpy", "python"])
 class TestEveryBackend:
-    """sigma_k on both sides of the int64 gate and pi_squared, per backend."""
+    """sigma_k by ``build`` ("numpy": the int64 sieve inside the gate, k <= 2
+    here, and the sieve over Python ints past it) and by the sieve over
+    Python ints at every k ("python"), against the exact loop oracle."""
 
     @pytest.mark.parametrize("k", [0, 1, 2, 4, 12])
-    def test_sigma_k_matches_loop_oracle(self, backend, k):
+    def test_sigma_k_matches_loop_oracle(self, sieve, k):
         n = 2 * 9973
-        with kernels.use_backend(backend):
-            f = build(f"sigma_{k}", n, Z)
-        assert f == exact_multiplicative(
-            n, lambda p, e: (p ** (k * (e + 1)) - 1) // (p**k - 1) if k else e + 1
-        )
-
-    def test_pi_squared_matches_sympy(self, backend):
-        n = 3000
-        with kernels.use_backend(backend):
-            f = build("pi_squared", n, Z)
-        assert list(f.values) == [int(sympy.primepi(m)) ** 2 for m in range(1, n + 1)]
+        f = build(f"sigma_{k}", n, Z) if sieve == "numpy" else object_sieve(f"sigma_{k}", n)
+        assert f == exact_multiplicative(n, sigma_prime_power(k))
 
 
 class TestInvariants:

@@ -48,6 +48,13 @@ class TestFunctionCommands:
         assert code == 2 and out == ""
         assert ".json" in err and ".csv" in err and "fmt=" not in err
 
+    def test_fn_eval_takes_one_file(self, capsys, tmp_path):
+        f = tmp_path / "f.csv"
+        f.write_text("1,1\n")
+        code, out, err = run(capsys, "fn-eval", str(f), "--in", str(f))
+        assert code == 2 and out == ""
+        assert "argument --in: not allowed with argument file" in err
+
     def test_fn_eval_without_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "fn-eval")
         assert code == 2

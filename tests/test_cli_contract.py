@@ -4,7 +4,8 @@
 first 16 hex digits of the sha256 of its stdout (of the ``--out`` file when
 one is given).  It was made by running :func:`record` against the CLI at
 commit 656ec5c, where every subcommand still took ``--bound --domain --out
---format``::
+--format``; ``fn-eval {qjson} --in {zcsv}``, which read the positional file
+there and is a usage error since, was recorded after::
 
     PYTHONPATH=<checkout of 656ec5c>/src:tests python -c "import test_cli_contract as t
     for k, v in t.record().items(): print(f'    {k!r}: {v!r},')"
@@ -49,6 +50,7 @@ INVOCATIONS = [
     "fn-eval {qjson} --format csv",
     "fn-eval --in {zcsv} --domain Z",
     "fn-eval {zcsv} --format json",
+    "fn-eval {qjson} --in {zcsv}",
     "add --lhs nu_2 --rhs nu_3 --bound 8",
     "add --lhs nu_2 --rhs nu_3 --bound 8 --format text",
     "add --lhs nu_2 --rhs nu_3 --bound 8 --format json",
@@ -165,6 +167,7 @@ FROZEN = {
     'fn-eval {qjson} --format csv': (0, '72f6ab7fdef31c1a'),
     'fn-eval --in {zcsv} --domain Z': (0, 'e7c2d4cd9e881c1b'),
     'fn-eval {zcsv} --format json': (0, '68f3f404d9ffb736'),
+    'fn-eval {qjson} --in {zcsv}': (2, 'e3b0c44298fc1c14'),
     'add --lhs nu_2 --rhs nu_3 --bound 8': (0, '877e015d67c6e8ee'),
     'add --lhs nu_2 --rhs nu_3 --bound 8 --format text': (0, '877e015d67c6e8ee'),
     'add --lhs nu_2 --rhs nu_3 --bound 8 --format json': (0, 'a369a13951b6af31'),
@@ -302,6 +305,7 @@ def test_two_calls_build_one_parser(tmp_path):
        f"bound must be a JSON integer, got {shown}")
       for b, shown in (('"2"', "'2'"), ("true", "True"), ("2.0", "2.0"))],
     ("1,1\n0,1\n2,2\n", "line 2: index 0 is below 1"),
+    ('{"domain": "Z", "values": [3, true, false]}', "value 2 is a JSON boolean, not a coefficient"),
 ])
 def test_function_file_checks_reach_the_cli(contents, message, tmp_path, capsys):
     path = tmp_path / ("f.json" if contents.startswith("{") else "f.csv")
@@ -340,6 +344,7 @@ JUNK_FILES = {
     "list.json": '["1", "2"]',
     "bound_str.json": '{"domain": "Q", "bound": "2", "values": ["1", "2"]}',
     "bound_bool.json": '{"domain": "Z", "bound": true, "values": ["1"]}',
+    "value_bool.json": '{"domain": "Z", "values": [true, false, 3]}',
     "float.json": '{"domain": "Q", "values": [1.5, "x"]}',
     "z_half.json": '{"domain": "Z", "values": ["1/2"]}',
     "zero_index.csv": "0,1\n1,2\n",

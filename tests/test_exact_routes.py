@@ -3,13 +3,15 @@
 Past the int64 gate, ``ring._product`` rebuilds a product from its
 residues modulo a few primes (``_convolve_crt``), and a rank-1 division
 over Z is solved in doubling blocks (``_block_solve``), each block one
-such product.  The oracles are the routes the ``python`` backend forces:
-the divisor-pair loop ``_convolve_exact`` and the sequential solve
-``_divide_solve``.  Values and witnesses must be identical.
+such product.  The oracles are the routes that inputs reach past both:
+the divisor-pair loop ``_convolve_exact`` (sparse or very wide operands,
+``Fraction`` stores) and the sequential solve ``_divide_solve`` (rank
+r > 1).  Values and witnesses must be identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -32,11 +34,18 @@ from arithring import (
 )
 from arithring import kernels, numutil, ring
 
-from conftest import arith_funcs
+from conftest import (
+    PRIME_POWER_VALUES,
+    arith_funcs,
+    exact_multiplicative,
+    sigma_prime_power,
+    stores,
+    trial_division,
+    widen,
+    widened,
+)
 
 Q, Z = Domain.Q, Domain.Z
-
-backends = pytest.mark.parametrize("backend", kernels.BACKENDS)
 
 
 @pytest.fixture
@@ -132,14 +141,14 @@ def test_crt_matches_the_exact_loop(case, chunk):
     assert ring._convolve_exact(a, b, n, 0, lo) == want[lo:]
 
 
-@backends
+@stores
 @given(wide_pairs(max_n=400, max_bits=90))
 @settings(max_examples=40)
-def test_convolve_z_matches_the_exact_loop(backend, case):
+def test_convolve_z_matches_the_exact_loop(wide, case):
     a, b, n, lo = case
-    with kernels.use_backend(backend):
-        got = _convolve_z(a, b, n, lo)
-    assert got == ring._convolve_exact(a, b, n, 0, lo)
+    if wide:
+        a, b = widened(a), widened(b)
+    assert _convolve_z(a, b, n, lo) == ring._convolve_exact(a, b, n, 0, lo)
 
 
 @pytest.mark.parametrize("n", [1, 3, 1024])
@@ -297,9 +306,8 @@ def test_sparse_operand_goes_outside():
 # ---------------------------------------------------------------------------
 
 
-def _oracle(a, b, n, lead_idx=1, domain=Z):
-    with kernels.use_backend("python"):
-        return ring._divide_solve(a, b, n, lead_idx, domain)
+def _oracle(a, b, n, lead_idx=1):
+    return ring._divide_solve(a, b, n, lead_idx, Z)
 
 
 @st.composite
@@ -399,17 +407,18 @@ def test_block_quotient_stays_int64_while_it_fits(monkeypatch):
     assert products and all(g.dtype == np.int64 for _, (g, _), *_ in products)
 
 
-@backends
+@stores
 @given(arith_funcs(Z, max_bound=40, max_abs=4), arith_funcs(Z, max_bound=40, max_abs=4))
 @settings(max_examples=60)
-def test_divide_and_inverse_match_the_oracle(backend, num, den):
+def test_divide_and_inverse_match_the_oracle(wide, num, den):
+    if wide:
+        num, den = widen(num), widen(den)
     n = min(num.bound, den.bound)
     r = next((i + 1 for i, v in enumerate(den.values[:n]) if v), None)
     if r is None:
         return
-    with kernels.use_backend(backend):
-        got = divide(num, den)
-        inv = inverse(den) if den.values[0] in (1, -1) else None
+    got = divide(num, den)
+    inv = inverse(den) if den.values[0] in (1, -1) else None
     want, witness = _oracle(num.values[:n], den.values[:n], n, r)
     assert got.witness == witness
     assert (got.quotient and got.quotient.values) == want
@@ -428,20 +437,6 @@ def test_rank_above_one_keeps_the_sequential_solve(monkeypatch):
     assert len(blocks) == 1 and len(solves) == 1
 
 
-def test_python_backend_forces_the_loops(monkeypatch, kernel_calls):
-    blocks = _spy(monkeypatch, "_block_solve")
-    crt = _spy(monkeypatch, "_convolve_crt")
-    f = make([3] + [(m * 7919 % 1009) << 40 for m in range(1, 1000)], Z)
-    g = make([-1] + [(m * 104729 % 1013) << 40 for m in range(1, 1000)], Z)
-    with kernels.use_backend("python"):
-        h = convolve(f, g)
-        assert divide(h, f).quotient == g
-        inverse(g)
-    assert (blocks, crt, kernel_calls) == ([], [], [])
-    assert convolve(f, g) == h
-    assert crt and kernel_calls
-
-
 def test_q_solves_run_in_blocks_over_z(monkeypatch):
     """A +-1/L lead takes the block solve over Z; the values stay Fractions."""
     blocks = _spy(monkeypatch, "_block_solve")
@@ -449,11 +444,9 @@ def test_q_solves_run_in_blocks_over_z(monkeypatch):
     g = make([Fraction(m % 7 - 3, (1, 2)[m % 2]) for m in range(90)], Q)
     h = convolve(f, g)
     assert divide(h, f).quotient == g
-    with kernels.use_backend("python"):
-        oracle = ring._divide_solve(h.values, f.values, 90, 1, Q)
-        assert divide(h, f).quotient.values == oracle[0]
-        inv = inverse(f)
-    assert inverse(f) == inv
+    assert g.values == ring._divide_solve(h.values, f.values, 90, 1, Q)[0]
+    inv = inverse(f)
+    assert inv.values == ring._divide_solve((1,) + (0,) * 89, f.values, 90, 1, Q)[0]
     assert all(type(v) is Fraction for v in inv.values)
     assert len(blocks) == 2
 
@@ -463,10 +456,9 @@ def test_q_inverse_makes_no_pass_over_epsilon(monkeypatch):
     dens = _spy(monkeypatch, "_denominator")
     g = inverse(f)
     assert dens == []
-    with kernels.use_backend("python"):
-        assert g.values == ring._divide_solve(
-            (Fraction(1),) + (Fraction(0),) * 4, f.values, 5, 1, Q
-        )[0]
+    assert g.values == ring._divide_solve(
+        (Fraction(1),) + (Fraction(0),) * 4, f.values, 5, 1, Q
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -493,35 +485,56 @@ def test_unequal_leads_are_not_associates_before_dividing(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# add, scale and build: identical under both backends
+# add, scale and build against their oracles
 # ---------------------------------------------------------------------------
 
 
-def _both_backends(fn, *args):
-    results = []
-    for backend in kernels.BACKENDS:
-        with kernels.use_backend(backend):
-            results.append(fn(*args))
-    return results
-
-
-def _identical(x, y) -> bool:
-    return x == y and [type(v) for v in x.values] == [type(v) for v in y.values]
+def _values_in(domain: Domain, f) -> bool:
+    """f's values are ints over Z and Fractions over Q."""
+    return all(type(v) is (int if domain is Z else Fraction) for v in f.values)
 
 
 @pytest.mark.parametrize("domain", [Q, Z])
 @given(data=st.data())
 @settings(max_examples=40)
 def test_add_and_scale_agree_across_backends(domain, data):
+    """add and scale against sums of values, and ``_combine`` on int64 and
+    on ``object`` arrays of the same integers."""
     f = data.draw(arith_funcs(domain, max_bound=40))
     g = data.draw(arith_funcs(domain, max_bound=40))
     c = data.draw(st.integers(-(1 << 70), 1 << 70))
-    assert _identical(*_both_backends(add, f, g))
-    assert _identical(*_both_backends(scale, f, c))
+    total, scaled = add(f, g), scale(f, c)
+    assert total == make([x + y for x, y in zip(f.values, g.values)], domain)
+    assert scaled == make([c * v for v in f.values], domain)
+    assert _values_in(domain, total) and _values_in(domain, scaled)
+    n = min(f.bound, g.bound)
+    F, G = f._num[: n + 1], g._num[: n + 1]
+    want = [c * x - y for x, y in zip(F[1:].tolist(), G[1:].tolist())]
+    fits = abs(c) * max(1, ring._peak(F)) + max(1, ring._peak(G)) < 1 << 63
+    for (A, B), dtype in (((F, G), np.int64 if fits else object),
+                          ((F.astype(object), G.astype(object)), object)):
+        got = ring._combine((A, c), (B, -1))
+        assert got.dtype == dtype and got[0] == 0 and got[1:].tolist() == want
 
 
 BUILD_NAMES = ("one", "epsilon", "mobius", "euler_phi", "tau", "liouville_lambda",
                "prime_char", "pi_squared", "id", "sigma")
+
+
+def _built_values(name: str, n: int) -> tuple:
+    """The values of the built-in `name` on 1..n from the exact oracles."""
+    name = {"id": "id_1", "sigma": "sigma_1"}.get(name, name)
+    if name in PRIME_POWER_VALUES:
+        return exact_multiplicative(n, PRIME_POWER_VALUES[name]).values
+    head, _, k = name.rpartition("_")
+    if head == "sigma":
+        return exact_multiplicative(n, sigma_prime_power(int(k))).values
+    if head == "id":
+        return tuple(m ** int(k) for m in range(1, n + 1))
+    primes = [trial_division(m) == [m] for m in range(1, n + 1)]
+    return {"one": (1,) * n, "epsilon": (1,) + (0,) * (n - 1),
+            "prime_char": tuple(map(int, primes)),
+            "pi_squared": tuple(c * c for c in itertools.accumulate(primes))}[name]
 
 
 @given(
@@ -535,4 +548,7 @@ BUILD_NAMES = ("one", "epsilon", "mobius", "euler_phi", "tau", "liouville_lambda
 )
 @settings(max_examples=40)
 def test_build_agrees_across_backends(name, n, domain):
-    assert _identical(*_both_backends(build, name, n, domain))
+    """Every built-in, on the int64 sieves and past their gates, against its oracle."""
+    f = build(name, n, domain)
+    assert f == make(_built_values(name, n), domain)
+    assert _values_in(domain, f)

@@ -3,18 +3,14 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from arithring import Domain, build, convolve, make
 from arithring import kernels, ring
+from conftest import PRIME_POWER_VALUES, object_sieve, sigma_prime_power, trial_division
 from conftest import exact_multiplicative as _exact_multiplicative
-
-from conftest import trial_division
 
 # N = 1, 2, 3 and, around each s*s, the places where isqrt(N) or
 # N // (isqrt(N) + 1) steps, so the row/column split moves.
@@ -87,12 +83,7 @@ def test_convolve_asymmetric_gate_maxima(rng):
         assert kernels.convolve_i64(b, a)[1:].tolist() == _exact(b, a)
 
 
-SIEVES = {
-    "mobius_i64": lambda p, e: -1 if e == 1 else 0,
-    "phi_i64": lambda p, e: p**e - p ** (e - 1),
-    "tau_i64": lambda p, e: e + 1,
-    "liouville_i64": lambda p, e: 1 - 2 * (e & 1),
-}
+SIEVES = {kernels.RULES[name][0]: value for name, value in PRIME_POWER_VALUES.items()}
 
 
 @pytest.mark.parametrize(
@@ -103,9 +94,7 @@ def test_sieves_match_exact(n):
         got = getattr(kernels, name)(n)[1:].tolist()
         assert got == list(_exact_multiplicative(n, prime_power_value).values), name
     for k in (0, 1, 2, 3):
-        want = _exact_multiplicative(
-            n, lambda p, e: (p ** (k * (e + 1)) - 1) // (p**k - 1) if k else e + 1
-        )
+        want = _exact_multiplicative(n, sigma_prime_power(k))
         assert kernels.sigma_i64(n, k)[1:].tolist() == list(want.values), f"sigma k={k}"
     mask = kernels.primes_mask(n)
     assert not mask[0] and not mask[1]
@@ -114,27 +103,11 @@ def test_sieves_match_exact(n):
     ]
 
 
-def test_python_backend_disables_int64_paths(rng, monkeypatch):
-    f = make([rng.randint(-9, 9) for _ in range(60)], Domain.Z)
-    g = make([rng.randint(-9, 9) for _ in range(60)], Domain.Z)
-    fast = convolve(f, g)
-    calls = []
-    kernel = kernels.convolve_i64
-    monkeypatch.setattr(kernels, "convolve_i64", lambda a, b: calls.append(a) or kernel(a, b))
-    with kernels.use_backend("python"):
-        assert not kernels.int64_paths_enabled()
-        exact = convolve(f, g)
-    assert calls == []
-    assert fast == exact
-
-
 @pytest.mark.parametrize("name", ["mobius", "euler_phi", "tau", "sigma_2", "liouville_lambda"])
 def test_builders_match_across_backends(name):
-    results = []
-    for backend in kernels.BACKENDS:
-        with kernels.use_backend(backend):
-            results.append(build(name, 400))
-    assert results[0] == results[1]
+    """The int64 sieve and the sieve over Python ints give the exact loop's store."""
+    want = _exact_multiplicative(400, PRIME_POWER_VALUES.get(name, sigma_prime_power(2)))
+    assert build(name, 400, Domain.Z) == object_sieve(name, 400) == want
 
 
 def test_overflow_gate():
@@ -170,8 +143,7 @@ def test_convolve_just_inside_gate_with_negative_extremes(n):
     g = make([1] * n, Domain.Z)
     assert ring._try_convolve_i64(ring._operand(f._num), ring._operand(g._num), n) is not None
     got = convolve(f, g)
-    with kernels.use_backend("python"):
-        assert got == convolve(f, g)
+    assert got.values == ring._convolve_exact(f.values, g.values, n, 0)
     assert got[n] == -max_a * 2 * math.isqrt(n) > -(1 << 62)
 
 
@@ -183,31 +155,6 @@ def test_out_of_gate_values_fall_back_to_exact(extreme):
     got = convolve(f, g)
     assert got.values == ring._convolve_exact(f.values, g.values, 6, 0)
     assert got[1] == 2 * extreme
-
-
-def test_set_backend_validates():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-    with pytest.raises(ValueError):
-        kernels.set_backend("numba")
-    assert kernels.active_backend() in kernels.BACKENDS
-
-
-def test_env_flag_selects_backend():
-    code = "import arithring.kernels as k; print(k.active_backend())"
-    # the child imports arithring from where this process found it
-    base = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    env = dict(base, ARITHRING_BACKEND="python")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == "python"
-    env_bad = dict(base, ARITHRING_BACKEND="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env_bad, capture_output=True, text=True
-    )
-    assert out.returncode != 0
-    assert "ARITHRING_BACKEND='cuda'" in out.stderr
 
 
 def test_concurrent_convolutions_are_identical(rng):

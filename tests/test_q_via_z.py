@@ -8,7 +8,9 @@ The oracles are the ``Fraction`` loops those routes replace, which the
 library keeps only for L wider than ``ring._MAX_SCALE_BITS``:
 ``_convolve_exact`` with a ``Fraction`` zero, and ``_divide_solve`` over
 ``Domain.Q``.  The inverse is the quotient of epsilon, so its oracle is
-``_divide_solve`` of epsilon.
+``_divide_solve`` of epsilon.  Each differential test runs on two stores
+(conftest's ``stores``): F in int64, where the int64 kernel runs, and F
+widened to Python ints, where products and solves run past its gate.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from arithring import (
 )
 from arithring import kernels, ring
 
+from conftest import WIDE, stores, widen
+
 Q, Z = Domain.Q, Domain.Z
 
 # denominators of each kind of input: integral (L = 1), small coprime,
@@ -48,8 +52,6 @@ DENOMINATORS = {
 # F(1) is a multiple of 2, 3 or 5 for these leads, so never +-1: the
 # solve scales the dividend by a power of it
 SCALED_LEADS = (Fraction(2, 3), Fraction(-5, 2), Fraction(3), Fraction(-2))
-
-backends = pytest.mark.parametrize("backend", kernels.BACKENDS)
 
 
 @st.composite
@@ -111,43 +113,44 @@ def _route_of(monkeypatch, name: str) -> list:
     return seen
 
 
-@backends
+def _store(f, wide: bool):
+    return widen(f) if wide else f
+
+
+@stores
 @given(data=st.data())
 @settings(max_examples=60)
-def test_convolve_matches_fraction_loop(backend, data):
+def test_convolve_matches_fraction_loop(wide, data):
     kind = data.draw(st.sampled_from(sorted(DENOMINATORS)))
-    f = make(data.draw(rationals(kind)), Q)
-    g = make(data.draw(rationals(kind)), Q)
+    f = _store(make(data.draw(rationals(kind)), Q), wide)
+    g = _store(make(data.draw(rationals(kind)), Q), wide)
     n = min(f.bound, g.bound)
-    with kernels.use_backend(backend):
-        got = convolve(f, g)
+    got = convolve(f, g)
     assert got.values == ring._convolve_exact(f.values[:n], g.values[:n], n, Fraction(0))
     assert _all_fractions(got)
 
 
-@backends
+@stores
 @given(data=st.data())
 @settings(max_examples=60)
-def test_inverse_matches_fraction_solve(backend, data):
-    f = data.draw(units_q(data.draw(st.sampled_from(sorted(DENOMINATORS)))))
-    with kernels.use_backend(backend):
-        got = inverse(f)
+def test_inverse_matches_fraction_solve(wide, data):
+    f = _store(data.draw(units_q(data.draw(st.sampled_from(sorted(DENOMINATORS))))), wide)
+    got = inverse(f)
     assert got.values == _fraction_inverse(f)
     assert _all_fractions(got)
 
 
-@backends
+@stores
 @given(data=st.data())
 @settings(max_examples=80)
-def test_divide_matches_fraction_solve(backend, data):
+def test_divide_matches_fraction_solve(wide, data):
     kind = data.draw(st.sampled_from(sorted(DENOMINATORS)))
-    den = data.draw(divisors_q(kind))
-    num = make(data.draw(rationals(kind, min_size=4)), Q)  # rank(den) <= 4 <= n
+    den = _store(data.draw(divisors_q(kind)), wide)
+    num = _store(make(data.draw(rationals(kind, min_size=4)), Q), wide)  # rank(den) <= 4 <= n
     if data.draw(st.booleans()):  # exactly divisible: num = den * q
         num = convolve(den, num)
     n = min(num.bound, den.bound)
-    with kernels.use_backend(backend):
-        got = divide(num, den)
+    got = divide(num, den)
     quotient, witness = ring._divide_solve(
         num.values[:n], den.values[:n], n, rank(den).index, Q
     )
@@ -208,43 +211,44 @@ EDGES = (31, 32, 33, 1023, 1024, 1025)
 # b = 2 + nu_2 has inverse g(2^j) = (-1)^j / 2^(j + 1), so its L is
 # 2^bit_length(N), all of the scaling |B(1)|^K.  b = 1/2 + nu_2 / 3 stores
 # B = (3, 2, 0, ...) over L = 6: its rational lead has numerator 1, but each
-# division is by B(1) = 3; g(2^j) = 2 (-2/3)^j.
+# division is by B(1) = 3; g(2^j) = 2 (-2/3)^j.  Widened, b(2) is WIDE
+# times larger, so g(2^j) is WIDE^j times larger, over the same L.
 POWER_CHAINS = (
     ((2, 1), lambda j: Fraction((-1) ** j, 2 ** (j + 1))),
     ((Fraction(1, 2), Fraction(1, 3)), lambda j: 2 * Fraction(-2, 3) ** j),
 )
 
 
-@backends
+@stores
 @pytest.mark.parametrize("n", EDGES)
 @pytest.mark.parametrize("head, value", POWER_CHAINS)
-def test_inverse_along_the_longest_chain(backend, n, head, value):
-    f = make([*head] + [0] * (n - 2), Q)
-    with kernels.use_backend(backend):
-        got = inverse(f)
+def test_inverse_along_the_longest_chain(wide, n, head, value):
+    f = _store(make([*head] + [0] * (n - 2), Q), wide)
+    got = inverse(f)
     assert got.values == _fraction_inverse(f)
-    top = value(n.bit_length() - 1)
-    assert got[2 ** (n.bit_length() - 1)] == top
+    j = n.bit_length() - 1
+    top = value(j) * (WIDE**j if wide else 1)
+    assert got[2**j] == top
     assert got._den == top.denominator
 
 
-@backends
+@stores
 @pytest.mark.parametrize("n", (1023, 1024, 1025))
 @pytest.mark.parametrize("lead", (2, -3, 7))
 @pytest.mark.parametrize("r", (2, 3))
-def test_higher_rank_leads_match_fraction_solve(backend, n, lead, r):
+def test_higher_rank_leads_match_fraction_solve(wide, n, lead, r):
     """Rank 2 and 3 divisors with leads 2, -3 and 7, divided exactly and
     with a witness planted at a non-multiple of r, give the Fraction solve's
     quotient and witness."""
     dens = (1, 2, 3, 5, 7)
     den = make([0] * (r - 1) + [lead] + [Fraction(k % 5 - 2, dens[k % 5]) for k in range(n - r)], Q)
+    den = _store(den, wide)
     cofactor = make([Fraction(k % 7 - 3, dens[k % 3]) for k in range(n)], Q)
     exact = convolve(den, cofactor)
     at = n if n % r else n - 1  # the last non-multiple of r
     planted = exact + make([0] * (at - 1) + [Fraction(1, 3)] + [0] * (n - at), Q)
     for num, expected in ((exact, None), (planted, at)):
-        with kernels.use_backend(backend):
-            got = divide(num, den)
+        got = divide(num, den)
         quotient, witness = ring._divide_solve(num.values, den.values, n, r, Q)
         assert got.witness == witness == expected
         assert got.quotient == (None if quotient is None else make(quotient, Q))
@@ -268,8 +272,7 @@ def test_integral_q_convolution_reaches_the_kernel(kernel_calls):
     product = convolve(mobius, one)
     assert kernel_calls == [500]
     assert product == epsilon(500, Q)
-    with kernels.use_backend("python"):
-        assert convolve(mobius, one) == product
+    assert product.values == ring._convolve_exact(mobius.values, one.values, 500, Fraction(0))
     assert kernel_calls == [500]
 
 

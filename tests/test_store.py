@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from arithring import (
+    ArithFunc,
     Domain,
     FactorizationClaim,
     add,
@@ -34,7 +35,7 @@ from arithring import (
     scale,
     verify_factorization,
 )
-from arithring import kernels, ring
+from arithring import ring
 from arithring.classical import _first_mismatch
 from arithring.ring import NotInDomain, with_domain
 
@@ -237,21 +238,30 @@ def test_crt_and_loop_results_that_fit_are_int64(monkeypatch):
 
 
 def test_routes_and_backends_reach_one_store():
-    """The same values from every route and both backends: one dtype, ==, one hash."""
+    """The same values from every route: one dtype, ==, one hash.
+
+    Products by the int64 kernel (shift 0) or the CRT (shift 40), by the
+    CRT called directly and by the exact loop; quotients by the block solve
+    and by the sequential solve."""
     n = 400
-    f = make([1] + [(m * 7919 % 1009 - 500) << 40 for m in range(1, n)], Z)
-    g = make([-1] + [(m * 104729 % 1013 - 500) << 20 for m in range(1, n)], Z)
-    found = []
-    for backend in kernels.BACKENDS:
-        with kernels.use_backend(backend):
-            h = convolve(f, g)
-            found += [h, convolve(g, f), make(h.values, Z), divide(h, f).quotient,
-                      divide(h, g).quotient, inverse(inverse(h))]
-    products = [x for i, x in enumerate(found) if i % 6 not in (3, 4)]
-    for group in (products, found[3::6] + [g], found[4::6] + [f]):
-        assert len({x._num.dtype for x in group}) == 1
-        assert len({hash(x) for x in group}) == 1
-        assert all(x == group[0] for x in group)
+    for shift in (0, 40):
+        f = make([1] + [(m * 7919 % 1009 - 500) << shift for m in range(1, n)], Z)
+        g = make([-1] + [(m * 104729 % 1013 - 500) << shift // 2 for m in range(1, n)], Z)
+        F, G = ring._operand(f._num), ring._operand(g._num)
+        bound = F[1] * G[1] * 2 * math.isqrt(n)
+        crt = ring._convolve_crt(F, G, n, bound, ring._crt_primes(n, bound), 0)
+        h = convolve(f, g)
+        products = [h, convolve(g, f), make(h.values, Z), ArithFunc(Z, crt, 1),
+                    make(ring._convolve_exact(f.values, g.values, n, 0), Z), inverse(inverse(h))]
+        quotients = [
+            (divide(h, a).quotient, make(ring._divide_solve(h.values, a.values, n, 1, Z)[0], Z), b)
+            for a, b in ((f, g), (g, f))
+        ]
+        for group in (products, *quotients):
+            assert len({x._num.dtype for x in group}) == 1
+            assert len({hash(x) for x in group}) == 1
+            assert all(x == group[0] for x in group)
+        assert h._num.dtype == (np.int64 if shift == 0 else object)
 
 
 @pytest.mark.parametrize("c, top", [
@@ -336,5 +346,4 @@ def test_int64_routes_neither_pack_nor_unpack(monkeypatch):
     assert report.ok
     assert packs == [] and fromiter == suite_fromiter == 0
     assert max(unpacked + suite_unpacked) <= math.isqrt(n)
-    with kernels.use_backend("python"):
-        assert convolve(f, g) == product
+    assert product.values == ring._convolve_exact(f.values, g.values, n, 0)

@@ -29,5 +29,5 @@ def test_provenance_attributes_resolve():
     # perfbench/run.py records the backend and numba availability of every run
     import arithring
 
-    assert arithring.active_backend() in arithring.kernels.BACKENDS
+    assert arithring.active_backend() == "numpy"
     assert isinstance(arithring.kernels.HAVE_NUMBA, bool)
