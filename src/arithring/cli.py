@@ -6,7 +6,9 @@ the divisors of p).  A subcommand takes only the options it reads, and
 ``--format`` only the formats it renders; handlers return their result and
 :func:`main` renders it.  Function arguments take a reference string: a
 built-in name from :mod:`arithring.classical` (``mobius``, ``sigma_2``, ...),
-an indicator ``nu_<r>``, or a path to a JSON/CSV function file.
+an indicator ``nu_<r>``, or a path to a JSON/CSV function file.  A handler
+imports the function layer only when it runs, so ``euclid``, ``prime-check``
+and the ``lattice-*`` commands never load numpy.
 
 Exit codes: 0 success, 1 domain/verdict failure (not divisible, not a unit,
 failed identity, ...), 2 usage or file-parse error, an input too large to
@@ -24,20 +26,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import classical, factorization, lattice, numutil, serialize
-from .ring import (
-    ArithFunc,
-    Domain,
-    RingError,
-    add,
-    are_associates,
-    convolve,
-    divide,
-    inverse,
-    is_unit,
-    nu,
-    rank,
-)
+from . import lattice, numutil
+from .core import Domain, ParseError, RingError
 
 _NU = re.compile(r"^nu_(\d+)$")
 
@@ -45,7 +35,10 @@ DEFAULT_BOUND = 1000
 DEFAULT_DOMAIN = "Q"
 
 
-def _resolve(spec: str, bound: int, domain: Domain) -> ArithFunc:
+def _resolve(spec: str, bound: int, domain: Domain):
+    from . import classical, serialize
+    from .ring import nu
+
     if classical.is_known_name(spec):
         return classical.build(spec, bound, domain)
     m = _NU.match(spec)
@@ -59,17 +52,10 @@ def _resolve(spec: str, bound: int, domain: Domain) -> ArithFunc:
 
 
 def _render(result, fmt: Optional[str]) -> tuple[str, int]:
-    """Text and exit code of a handler's result: an ArithFunc (exit 0), DOT
-    text (exit 0), a report ``(json_obj, text_lines, code)`` or a verdict
-    (``true``/``false``, exit 0/1).  A report prints its text lines in any
-    format but json."""
-    if isinstance(result, ArithFunc):
-        if fmt == "json":
-            return serialize.dumps(result) + "\n", 0
-        if fmt == "csv":
-            return serialize.to_csv(result), 0
-        values = serialize.coefficient_strings(result)
-        return "".join(f"{i} {v}\n" for i, v in enumerate(values, 1)), 0
+    """Text and exit code of a handler's result: DOT text (exit 0), a report
+    ``(json_obj, text_lines, code)``, a verdict (``true``/``false``, exit
+    0/1) or else an ArithFunc (exit 0).  A report prints its text lines in
+    any format but json."""
     if isinstance(result, str):
         return result, 0
     if isinstance(result, tuple):
@@ -77,11 +63,21 @@ def _render(result, fmt: Optional[str]) -> tuple[str, int]:
         if fmt == "json":
             return json.dumps(obj, separators=(",", ":")) + "\n", code
         return "".join(line + "\n" for line in lines), code
-    return ("true\n", 0) if result else ("false\n", 1)
+    if isinstance(result, bool):
+        return ("true\n", 0) if result else ("false\n", 1)
+    from . import serialize
+
+    if fmt == "json":
+        return serialize.dumps(result) + "\n", 0
+    if fmt == "csv":
+        return serialize.to_csv(result), 0
+    values = serialize.coefficient_strings(result)
+    return "".join(f"{i} {v}\n" for i, v in enumerate(values, 1)), 0
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns a result for _render
+# handlers: each returns a result for _render.  Those that compute on
+# functions import the function layer (and with it numpy) when they run.
 # ---------------------------------------------------------------------------
 
 
@@ -90,10 +86,12 @@ def _cmd_fn_build(args):
 
 
 def _cmd_fn_eval(args):
+    from .serialize import load_path
+
     path = args.file or args.in_file
     if not path:
         raise ValueError("fn-eval needs a function file (positional or --in)")
-    return serialize.load_path(path, domain=args.domain)
+    return load_path(path, domain=args.domain)
 
 
 def _operands(args, *specs):
@@ -101,18 +99,26 @@ def _operands(args, *specs):
 
 
 def _cmd_add(args):
+    from .ring import add
+
     return add(*_operands(args, args.lhs, args.rhs))
 
 
 def _cmd_conv(args):
+    from .ring import convolve
+
     return convolve(*_operands(args, args.lhs, args.rhs))
 
 
 def _cmd_inv(args):
+    from .ring import inverse
+
     return inverse(_resolve(args.fn, args.bound, args.domain))
 
 
 def _cmd_div(args):
+    from .ring import divide
+
     result = divide(*_operands(args, args.num, args.den))
     if result.divisible:
         return result.quotient
@@ -121,19 +127,26 @@ def _cmd_div(args):
 
 
 def _cmd_rank(args):
+    from .ring import rank
+    from .serialize import coefficient_to_str
+
     r = rank(_resolve(args.fn, args.bound, args.domain))
     if not r.visible:
         return {"visible": False}, ["not visible at bound"], 0
-    leading = serialize.coefficient_to_str(r.leading)
+    leading = coefficient_to_str(r.leading)
     obj = {"visible": True, "index": r.index, "leading": leading}
     return obj, [f"rank {r.index}, leading {leading}"], 0
 
 
 def _cmd_unit(args):
+    from .ring import is_unit
+
     return is_unit(_resolve(args.fn, args.bound, args.domain))
 
 
 def _cmd_associates(args):
+    from .ring import are_associates
+
     return are_associates(*_operands(args, args.lhs, args.rhs))
 
 
@@ -144,11 +157,15 @@ def _certificate_label(cert) -> str:
 
 
 def _cmd_certify(args):
-    cert = factorization.certify(_resolve(args.fn, args.bound, args.domain))
+    from .factorization import certify
+
+    cert = certify(_resolve(args.fn, args.bound, args.domain))
     return cert.to_json_obj(), [_certificate_label(cert)], 0
 
 
 def _cmd_verify_fact(args):
+    from . import factorization
+
     target = _resolve(args.target, args.bound, args.domain)
     unit_part = _resolve(args.unit, target.bound, args.domain)
     factors = tuple(_resolve(s, target.bound, args.domain) for s in args.factor or [])
@@ -166,7 +183,9 @@ def _cmd_verify_fact(args):
 
 
 def _cmd_identity_suite(args):
-    report = classical.identity_suite(args.bound, args.domain)
+    from .classical import identity_suite
+
+    report = identity_suite(args.bound, args.domain)
     text = [f"{c.name}: {'pass' if c.ok else f'FAIL at index {c.first_mismatch}'}"
             for c in report.checks]
     return report.to_json_obj(), text, 0 if report.ok else 1
@@ -220,6 +239,8 @@ def _prime_property_upto(p: int, m: int) -> bool:
     """
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
+    if m < 1:
+        raise ValueError(f"need M >= 1, got {m}")
     if p > m * m:
         return True
     return not any(1 < g < p and g <= m and p // g <= m for g in numutil.divisors(p))
@@ -348,7 +369,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except (serialize.ParseError, ValueError, OSError, MemoryError) as exc:
+    except (ParseError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except RingError as exc:

@@ -9,6 +9,10 @@ split by Pollard-Brent rho (Brent, BIT 20, 1980), in about part^(1/4)
 steps, and both pieces recurse.  A part at or above psi_12 that the test
 calls prime cannot be proven prime, so it is refused with ValueError, and
 so is a part that rho cannot split within _RHO_MAX_STEPS steps.
+
+This module uses the standard library alone, the small primes included
+(a bytearray sieve), so :mod:`arithring.lattice` and the CLI's ``euclid``
+and ``prime-check`` run without loading numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import itertools
 import math
 from typing import Iterator, Optional
 
-from . import kernels
-
 # Witnesses proving primality for every n < MR_PROOF_LIMIT (Sorenson &
 # Webster 2015, OEIS A014233): the limit is psi_12, the least strong
 # pseudoprime to all twelve bases, and from it on the test is
@@ -26,7 +28,17 @@ from . import kernels
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MR_PROOF_LIMIT = 318_665_857_834_031_151_167_461
 
-_SMALL_PRIMES = tuple(kernels.primes_mask(1 << 10).nonzero()[0].tolist())
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    composite = bytearray(n)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = b"\1" * len(range(p * p, n, p))
+    return tuple(p for p in range(2, n) if not composite[p])
+
+
+_SMALL_PRIMES = _primes_below(1 << 10)
 
 # rho steps between gcds: one gcd per batch of products |x - y| mod n
 _RHO_BATCH = 128

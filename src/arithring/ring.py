@@ -37,26 +37,15 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import kernels, numutil
+from .core import Domain, RingError
 
 Coefficient = Union[int, Fraction]
-
-
-class Domain(Enum):
-    """Coefficient domain tag: exact rational field or integer ring."""
-
-    Q = "Q"
-    Z = "Z"
-
-
-class RingError(Exception):
-    """Base class for domain/arithmetic failures in this module."""
 
 
 class NotInDomain(RingError):

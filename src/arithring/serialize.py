@@ -19,11 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .ring import ArithFunc, Coefficient, Domain, make
-
-
-class ParseError(Exception):
-    """Malformed function file; message carries the offending location."""
+from .core import Domain, ParseError
+from .ring import ArithFunc, Coefficient, make
 
 
 def coefficient_to_str(v: Coefficient) -> str:

@@ -199,10 +199,13 @@ class TestLatticeCommands:
         assert code == 1 and out == "false\n"
         code, _, err = run(capsys, "prime-check", "1")
         assert code == 2 and err == "error: need p >= 2, got 1\n"
+        for m in ("0", "-3"):  # no pair to check: "true" would be vacuous
+            code, out, err = run(capsys, "prime-check", "97", "--max-ab", m)
+            assert code == 2 and out == "" and err == f"error: need M >= 1, got {m}\n"
 
     def test_prime_check_matches_the_pair_scan(self):
         for p in range(2, 301):
-            for m in range(0, 41):
+            for m in range(1, 41):
                 assert _prime_property_upto(p, m) is pair_scan(p, pairs_upto(m)), (p, m)
 
     def test_prime_check_near_the_square_of_the_bound(self):

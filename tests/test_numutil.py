@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithring import numutil
+from arithring import kernels, numutil
 
 from conftest import naive_divisor_list, naive_is_prime, trial_division
 
@@ -16,6 +16,11 @@ from conftest import naive_divisor_list, naive_is_prime, trial_division
 def test_is_prime_matches_naive():
     for n in range(0, 2000):
         assert numutil.is_prime(n) == naive_is_prime(n), n
+
+
+def test_small_primes_match_the_kernel_sieve():
+    expected = tuple(kernels.primes_mask(1 << 10).nonzero()[0].tolist())
+    assert numutil._SMALL_PRIMES == expected and len(expected) == 172
 
 
 def test_is_prime_known_large_values():
