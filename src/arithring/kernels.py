@@ -1,18 +1,18 @@
-"""Low-level int64 kernels: Dirichlet convolution and multiplicative sieves.
+"""Low-level kernels: Dirichlet convolution and multiplicative sieves.
 
-The kernels are vectorised numpy.  Convolution uses Dirichlet's hyperbola
-split, about 2*sqrt(n) strided passes; the multiplicative sieve makes one
-strided pass per prime up to sqrt(n), and over ``dtype=object`` it is the
-exact big-int route.  Products too wide for the gate also run on
-:func:`convolve_i64`: ``ring`` reduces them modulo primes p whose residues
-pass :func:`convolution_fits_i64` with max_a = max_b = p - 1, one kernel
-call per prime, and rebuilds the exact values from the residues.  The
-operands alone choose the route; primality masks and the sieve's
-cofactors are int64 on every route, since they hold no function values.
+The kernels are vectorised numpy over int64 or, with ``dtype=object``,
+over exact Python ints or ``Fraction``s.  Convolution uses Dirichlet's
+hyperbola split, about 2*sqrt(n) strided passes, and is the package's
+one convolution: ``ring`` runs it on int64 operands that pass
+:func:`convolution_fits_i64`, once per prime p on residues (max_a = max_b
+= p - 1 pass the gate) before a CRT rebuild, and on ``object`` operands.
+The multiplicative sieve makes one strided pass per prime up to sqrt(n).
+Primality masks and the sieve's cofactors are int64 on every route,
+since they hold no function values.
 
 All arrays here are 1-indexed: length ``n + 1`` with slot 0 unused (zero).
-Every kernel is exact in int64; callers must gate inputs so no intermediate
-can overflow (see :func:`convolution_fits_i64`).
+Over int64 a kernel is exact only behind a gate that bounds every
+intermediate (see :func:`convolution_fits_i64`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ I64_SAFE = 1 << 62
 
 
 def convolution_fits_i64(max_a: int, max_b: int, n: int) -> bool:
-    """A-priori overflow gate for convolve_i64.
+    """A-priori overflow gate for convolve_i64 on int64 operands.
 
     Each output is a sum of at most tau(m) <= 2*sqrt(n) terms, each bounded
     by max|a| * max|b|, so the whole computation stays inside int64 whenever
@@ -47,25 +47,32 @@ def convolution_fits_i64(max_a: int, max_b: int, n: int) -> bool:
     return max_a * max_b * 2 * math.isqrt(n) < I64_SAFE
 
 
-def convolve_i64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a * b)(k) = sum over divisor pairs d*m = k of a[d] b[m], k <= n.
+def convolve_i64(a: np.ndarray, b: np.ndarray, lo: int = 0) -> np.ndarray:
+    """(a * b)(k) = sum over divisor pairs d*m = k of a[d] b[m], lo < k <= n.
 
     Dirichlet's hyperbola split at s = isqrt(n): rows d <= s add a[d] * b
-    along out[d::d]; the pairs with d > s have m <= n // (s + 1), and each
-    such column m adds b[m] * a[s+1 : n//m + 1] along out[(s+1)*m::m].
-    Every pair is visited once, in about 2*sqrt(n) vectorised passes.  The
-    gate bounds every partial sum, so the summation order cannot change a
-    value.
+    along out[d::d] from the first multiple of d above lo; the pairs with
+    d > s have m <= n // (s + 1), and each such column m adds b[m] * a[j]
+    along out[j*m::m] from j = max(s + 1, lo // m + 1).  Every pair is
+    visited once, in about 2*sqrt(n) vectorised passes, and a zero a[d] or
+    b[m] skips its pass.  The output is int64, where the gate bounds every
+    partial sum, or ``object`` when either operand is; slots 0..lo are 0.
+    The name predates ``object`` operands; perfbench's tracer and the
+    benchmark's per-layer metrics know the kernel by it.
     """
     n = a.shape[0] - 1
     s = math.isqrt(n)
-    out = np.zeros(n + 1, np.int64)
+    dtype = object if object in (a.dtype, b.dtype) else np.int64
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    out = np.zeros(n + 1, dtype)
     for d, ad in enumerate(a[1 : s + 1].tolist(), 1):
         if ad:
-            out[d::d] += ad * b[1 : n // d + 1]
+            first = lo // d + 1
+            out[first * d :: d] += ad * b[first : n // d + 1]
     for m, bm in enumerate(b[1 : n // (s + 1) + 1].tolist(), 1):
         if bm:
-            out[(s + 1) * m :: m] += bm * a[s + 1 : n // m + 1]
+            first = max(s + 1, lo // m + 1)
+            out[first * m :: m] += bm * a[first : n // m + 1]
     return out
 
 

@@ -17,10 +17,10 @@ and cached.  An L wider than ``_MAX_SCALE_BITS`` would make every F value
 as wide, so such a function stores its ``Fraction``s, with no L.  Sums and
 scalar multiples run on F, in int64 behind an exact gate.
 
-f * g = (F * G) / (L_f L_g), so both domains multiply on one integer
-route: the int64 kernel of :mod:`arithring.kernels` when its overflow
-gate passes, else the kernel on residues modulo a few primes and a CRT
-rebuild, or the exact divisor-pair loop where that costs less.  The
+f * g = (F * G) / (L_f L_g), so both domains multiply on the one
+convolution kernel of :mod:`arithring.kernels`: over int64 when its
+overflow gate passes, else on residues modulo a few primes with a CRT
+rebuild when both operands are dense, else over ``object``.  The
 inverse of f is the quotient of epsilon by f, by one triangular solve
 over Z on F, in doubling blocks for a divisor of rank 1 (a relaxed
 solve; van der Hoeven, "Relax, but don't be too lazy", JSC 2002),
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -403,36 +402,15 @@ def _try_convolve_i64(pa, pb, n: int, lo: int = 0) -> Optional[np.ndarray]:
     # the gate alone would pass an object operand beside an all-zero one, at max 0
     if object in (arr_a.dtype, arr_b.dtype) or not kernels.convolution_fits_i64(max_a, max_b, n):
         return None
-    out = kernels.convolve_i64(arr_a, arr_b)
-    out[: lo + 1] = 0
-    return out
-
-
-def _convolve_exact(a: Sequence, b: Sequence, n: int, zero: Coefficient, lo: int = 0) -> tuple:
-    """(a * b)(lo+1..n) by the divisor-pair loop, the sparser operand outside (a on a tie)."""
-    return tuple(_exact_loop(*((b, a) if b.count(0) > a.count(0) else (a, b)), n, zero, lo))
-
-
-def _exact_loop(outer: Sequence, inner: Sequence, n: int, zero: Coefficient, lo: int) -> list:
-    """(outer * inner)(lo+1..n): each nonzero outer(d) times inner(j) lands at d * j."""
-    out = [zero] * (n - lo)
-    for d in itertools.compress(range(1, n + 1), outer):
-        av = outer[d - 1]
-        first = lo // d  # inner[first] makes the first product past lo
-        for at, bv in zip(range((first + 1) * d - 1 - lo, n - lo, d), inner[first : n // d]):
-            if bv:
-                out[at] += av * bv
-    return out
+    return kernels.convolve_i64(arr_a, arr_b, lo)
 
 
 # The CRT route takes at most this many primes.  Measured at N = 80 000,
-# dense operands, it beats the exact loop up to 13 primes (160-bit values)
-# and loses from 16 (200-bit values), where reducing the wide operands
-# costs more than the big-int products it replaces.
-_CRT_MAX_PRIMES = 16
-# One of the CRT's 2 * isqrt(n) kernel passes per prime costs about this
-# many divisor pairs of the exact loop (measured, see :func:`_product`).
-_CRT_PASS_PAIRS = 8
+# dense operands, best of 7 on 2 cores: it beats the object kernel up to
+# 6 primes (60-bit values, 0.08 s against 0.12 s) and loses from 7 (76 to
+# 88 bits, 0.17-0.20 s against 0.15-0.16 s), where reducing the wide
+# operands costs more than the big-int products it replaces.
+_CRT_MAX_PRIMES = 6
 # Values rebuilt per Python pass, so the temporary lists stay small.
 _REBUILD_CHUNK = 1 << 14
 
@@ -478,7 +456,7 @@ def _convolve_crt(pa, pb, n: int, bound: int, primes: list, lo: int) -> np.ndarr
     digits = []
     for p in primes:
         ra, rb = [(arr % p).astype(np.int64, copy=False) for arr, _ in (pa, pb)]
-        y = kernels.convolve_i64(ra, rb)[lo + 1 :]
+        y = kernels.convolve_i64(ra, rb, lo)[lo + 1 :]
         y += bound % p
         y %= p
         for q, v in zip(primes, digits):
@@ -512,36 +490,37 @@ def _convolve_crt(pa, pb, n: int, bound: int, primes: list, lo: int) -> np.ndarr
 
 
 def _product(pa, pb, n: int, lo: int = 0) -> np.ndarray:
-    """The product of two operands on lo+1..n, zero on 0..lo, on the cheapest exact route.
+    """The product of two operands on lo+1..n, zero on 0..lo, exact on one kernel.
 
-    The int64 kernel when the gate passes, else the kernel modulo k primes
-    with a CRT rebuild (:func:`_convolve_crt`), unless more than
-    _CRT_MAX_PRIMES primes are needed or the exact loop visits at most
-    k * (n + _CRT_PASS_PAIRS * 2 * isqrt(n)) divisor pairs: small n, or an
-    operand with few nonzero values, which the loop puts outside (`pa` on a
-    tie).
+    The int64 kernel when the gate passes.  Else the kernel modulo k primes
+    with a CRT rebuild (:func:`_convolve_crt`) when k <= _CRT_MAX_PRIMES
+    and both operands have more than 2 * isqrt(n) nonzero values, and
+    otherwise the kernel over ``object`` with the sparser operand (`pa` on
+    a tie) as a, whose zeros skip their passes.  The cast keeps int64
+    operands past the gate out of the int64 accumulator.
     """
     if (fast := _try_convolve_i64(pa, pb, n, lo)) is not None:
         return fast
-    bound = pa[1] * pb[1] * 2 * math.isqrt(n)
-    primes = _crt_primes(n, bound)
-    outer, inner = sorted((pa[0], pb[0]), key=np.count_nonzero)
-    pairs = int((n // np.flatnonzero(outer)).sum())
-    if primes is None or pairs <= len(primes) * (n + _CRT_PASS_PAIRS * 2 * math.isqrt(n)):
-        return _pack([0] * lo + _exact_loop(outer[1:].tolist(), inner[1:].tolist(), n, 0, lo))
-    return _convolve_crt(pa, pb, n, bound, primes, lo)
+    sparse, dense = sorted((pa[0], pb[0]), key=np.count_nonzero)
+    if np.count_nonzero(sparse) > 2 * math.isqrt(n):
+        bound = pa[1] * pb[1] * 2 * math.isqrt(n)
+        if (primes := _crt_primes(n, bound)) is not None:
+            return _convolve_crt(pa, pb, n, bound, primes, lo)
+    return kernels.convolve_i64(sparse.astype(object), dense, lo)
 
 
 def convolve(f: ArithFunc, g: ArithFunc) -> ArithFunc:
     """Dirichlet product at the common bound: (F * G) / (L_f L_g).
 
-    F * G takes the route :func:`_product` picks: the int64 kernel, the CRT,
-    or the divisor-pair loop, about N log N steps, never per-index trial
-    division.  An operand that stores no L runs that loop on Fractions.
+    F * G takes the route :func:`_product` picks: the int64 kernel, the
+    kernel per CRT prime, or the kernel over ``object``, about N log N
+    multiply-adds, never per-index trial division.  An operand that stores
+    no L runs the kernel on ``object`` arrays of the values.
     """
     n = _common(f, g)
     if f._den is None or g._den is None:
-        return ArithFunc(f.domain, _convolve_exact(f.values[:n], g.values[:n], n, Fraction(0)))
+        F, G = (np.array((0, *h.values[:n]), object) for h in (f, g))
+        return ArithFunc(f.domain, kernels.convolve_i64(F, G)[1:].tolist())
     F, G = _operand(f._num[: n + 1]), _operand(g._num[: n + 1])
     return ArithFunc(f.domain, _product(F, G, n), f._den * g._den)
 

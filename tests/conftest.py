@@ -1,12 +1,13 @@
 """Shared oracles and hypothesis strategies.
 
 The oracles here are deliberately independent of the library's fast paths:
-convolution by per-index trial division, classical functions by per-index
-factorization/counting or a per-multiple valuation loop, antichains by
-testing every pair, poset width by exhaustive antichain enumeration or
-by bipartite matching, Hasse diagrams and lattice verdicts by checking
-every pair or triple, the prime property by scanning every pair.  The
-cover oracle checks a chain partition and its antichain certificate.
+convolution by per-index trial division or by the divisor-pair loop,
+classical functions by per-index factorization/counting or a per-multiple
+valuation loop, antichains by testing every pair, poset width by
+exhaustive antichain enumeration or by bipartite matching, Hasse diagrams
+and lattice verdicts by checking every pair or triple, the prime property
+by scanning every pair.  The cover oracle checks a chain partition and its
+antichain certificate.
 Expected values frozen into tests were computed with these.
 """
 
@@ -48,6 +49,17 @@ def naive_convolve(f: ArithFunc, g: ArithFunc) -> ArithFunc:
                 acc += f[d] * g[m // d]
         out.append(acc)
     return make(out, f.domain)
+
+
+def exact_convolution(a, b, n: int, zero, lo: int = 0) -> tuple:
+    """(a * b)(lo+1..n) of the value lists a and b by the divisor-pair loop:
+    each nonzero a(d) times b(j) lands at d * j."""
+    out = [zero] * (n - lo)
+    for d in range(1, n + 1):
+        if a[d - 1]:
+            for j in range(lo // d + 1, n // d + 1):
+                out[d * j - lo - 1] += a[d - 1] * b[j - 1]
+    return tuple(out)
 
 
 def naive_divisor_list(n: int) -> list[int]:

@@ -1,12 +1,12 @@
 """Exact products and rank-1 solves on the int64 kernel, against the loops.
 
-Past the int64 gate, ``ring._product`` rebuilds a product from its
-residues modulo a few primes (``_convolve_crt``), and a rank-1 division
-over Z is solved in doubling blocks (``_block_solve``), each block one
-such product.  The oracles are the routes that inputs reach past both:
-the divisor-pair loop ``_convolve_exact`` (sparse or very wide operands,
-``Fraction`` stores) and the sequential solve ``_divide_solve`` (rank
-r > 1).  Values and witnesses must be identical.
+Past the int64 gate, ``ring._product`` rebuilds a product of two dense
+operands from its residues modulo a few primes (``_convolve_crt``), and
+otherwise runs the kernel over ``object``; a rank-1 division over Z is
+solved in doubling blocks (``_block_solve``), each block one such product.
+The oracles are conftest's divisor-pair loop ``exact_convolution`` and
+the sequential solve ``_divide_solve`` (rank r > 1).  Values and
+witnesses must be identical.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from arithring import kernels, numutil, ring
 from conftest import (
     PRIME_POWER_VALUES,
     arith_funcs,
+    exact_convolution,
     exact_multiplicative,
     sigma_prime_power,
     stores,
@@ -49,17 +50,23 @@ Q, Z = Domain.Q, Domain.Z
 
 
 @pytest.fixture
-def kernel_calls(monkeypatch):
-    """The bound of each call to the int64 kernel."""
+def kernel_inputs(monkeypatch):
+    """The operands and lo of each call to the kernel."""
     calls = []
     kernel = kernels.convolve_i64
 
-    def counting(a, b):
-        calls.append(a.shape[0] - 1)
-        return kernel(a, b)
+    def recording(a, b, lo=0):
+        calls.append((a, b, lo))
+        return kernel(a, b, lo)
 
-    monkeypatch.setattr(kernels, "convolve_i64", counting)
+    monkeypatch.setattr(kernels, "convolve_i64", recording)
     return calls
+
+
+def _routes(calls) -> list:
+    """(bound, dtype of a) of each recorded kernel call: int64 for the int64
+    kernel and each CRT prime, object for the object kernel."""
+    return [(a.shape[0] - 1, a.dtype) for a, _, _ in calls]
 
 
 def _spy(monkeypatch, name: str) -> list:
@@ -87,7 +94,10 @@ def _at(arr, lo=0) -> tuple:
 
 
 def _crt(a, b, n, bound, lo=0):
-    primes = ring._crt_primes(n, bound)
+    """ring._convolve_crt on the primes `bound` needs, past _CRT_MAX_PRIMES too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "_CRT_MAX_PRIMES", 64)
+        primes = ring._crt_primes(n, bound)
     return _at(ring._convolve_crt(_operand(a), _operand(b), n, bound, primes, lo), lo)
 
 
@@ -104,6 +114,17 @@ def _block_solve(a, b, n):
 
 def _gate_bound(a, b, n) -> int:
     return max(map(abs, a)) * max(map(abs, b)) * 2 * math.isqrt(n)
+
+
+def _dense(a, b, n) -> bool:
+    """Both value lists have more than 2 isqrt(n) nonzero values."""
+    return min(len(a) - a.count(0), len(b) - b.count(0)) > 2 * math.isqrt(n)
+
+
+def _cap(n: int) -> list:
+    """The _CRT_MAX_PRIMES primes the CRT may take at bound n."""
+    h = (62 - (2 * math.isqrt(n)).bit_length()) // 2
+    return [ring._crt_prime(h, i) for i in range(ring._CRT_MAX_PRIMES)]
 
 
 @st.composite
@@ -134,11 +155,11 @@ def wide_pairs(draw, max_n: int = 120, max_bits: int = 200):
 @settings(max_examples=80)
 def test_crt_matches_the_exact_loop(case, chunk):
     a, b, n, lo = case
-    want = ring._convolve_exact(a, b, n, 0)
+    want = exact_convolution(a, b, n, 0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ring, "_REBUILD_CHUNK", chunk)
         assert _crt(a, b, n, _gate_bound(a, b, n), lo) == want[lo:]
-    assert ring._convolve_exact(a, b, n, 0, lo) == want[lo:]
+    assert exact_convolution(a, b, n, 0, lo) == want[lo:]
 
 
 @stores
@@ -148,14 +169,15 @@ def test_convolve_z_matches_the_exact_loop(wide, case):
     a, b, n, lo = case
     if wide:
         a, b = widened(a), widened(b)
-    assert _convolve_z(a, b, n, lo) == ring._convolve_exact(a, b, n, 0, lo)
+    assert _convolve_z(a, b, n, lo) == exact_convolution(a, b, n, 0, lo)
 
 
 @pytest.mark.parametrize("n", [1, 3, 1024])
-def test_int64_gate_edge(n, kernel_calls):
+def test_int64_gate_edge(n, kernel_inputs):
     """The largest B = max|a| max|b| 2 isqrt(n) below 2**62 these inputs reach
-    takes the kernel (B is even, so never 2**62 - 1); at B = 2**62 the product
-    is rebuilt from residues or looped, with identical values."""
+    takes the int64 kernel (B is even, so never 2**62 - 1); at B = 2**62 the
+    product is rebuilt from residues (both operands dense, n = 3 and 1024)
+    or taken by the object kernel (n = 1), with identical values."""
     s2 = 2 * math.isqrt(n)
     for big, takes_kernel in (((1 << 62) - 2) // s2, True), ((1 << 62) // s2, False):
         a = [big] + [(-1) ** k * (big - k) for k in range(1, n)]
@@ -163,39 +185,46 @@ def test_int64_gate_edge(n, kernel_calls):
         assert _gate_bound(a, b, n) == big * s2
         assert kernels.convolution_fits_i64(big, 1, n) == takes_kernel
         got = _convolve_z(a, b, n)
-        assert got == ring._convolve_exact(a, b, n, 0)
+        assert got == exact_convolution(a, b, n, 0)
         if takes_kernel:
-            assert kernel_calls == [n]
-        else:  # at n = 1024 the dense product takes the CRT: one call per prime
+            assert _routes(kernel_inputs) == [(n, np.int64)]
+        else:  # a dense product takes the CRT: one call per prime
             primes = ring._crt_primes(n, big * s2)
-            assert kernel_calls == ([n] * len(primes) if n == 1024 else [])
-        kernel_calls.clear()
+            assert _dense(a, b, n) == (n > 1)
+            want = [(n, np.int64)] * len(primes) if n > 1 else [(n, object)]
+            assert _routes(kernel_inputs) == want
+        kernel_inputs.clear()
 
 
 @pytest.mark.parametrize("extreme", [(1 << 63) - 1, -(1 << 63), 1 << 63, -(1 << 63) - 1])
 @pytest.mark.parametrize("n, crt", [(1024, True), (6, False)])
-def test_int64_edge_values(extreme, n, crt, kernel_calls):
+def test_int64_edge_values(extreme, n, crt, kernel_inputs):
     """The int64 extremes pack as int64 and the values past them as object;
-    all fail the gate and take the CRT (dense, n = 1024) or the loop (n = 6)."""
+    all fail the gate and take the CRT (dense, n = 1024) or the object kernel
+    (n = 6, where b has 2 isqrt(6) = 4 nonzero values)."""
     a = [extreme] + [(-1) ** m * (extreme // (m + 1)) for m in range(1, n)]
-    b = [m % 5 - 2 for m in range(n)]
+    b = [m % 4 - 1 for m in range(n)]
     fits = -(1 << 63) <= extreme < 1 << 63
     assert ring._pack(a).dtype == (np.int64 if fits else object)
     got = _convolve_z(a, b, n)
-    assert got == ring._convolve_exact(a, b, n, 0)
+    assert got == exact_convolution(a, b, n, 0)
     k = len(ring._crt_primes(n, _gate_bound(a, b, n)))
-    assert kernel_calls == ([n] * k if crt else [])
+    assert _dense(a, b, n) == crt
+    assert _routes(kernel_inputs) == ([(n, np.int64)] * k if crt else [(n, object)])
 
 
-def test_zero_beside_a_wide_operand_skips_the_kernel(kernel_calls):
-    """A zero operand has max 0, so only the dtype keeps object values from the kernel."""
+def test_zero_beside_a_wide_operand_skips_the_kernel(kernel_inputs):
+    """A zero operand has max 0, so only the dtype keeps object values from the
+    int64 kernel; the product is the object kernel's, with the zero as a."""
     n = 300
     wide, zero = [(1 << 70) + m for m in range(n)], [0] * n
     assert ring._try_convolve_i64(_operand(wide), _operand(zero), n) is None
     assert ring._try_convolve_i64(_operand(zero), _operand(wide), n) is None
+    assert kernel_inputs == []
     assert _convolve_z(wide, zero, n) == _convolve_z(zero, wide, n) == (0,) * n
     assert _convolve_z(wide, zero, n, n // 2) == (0,) * (n - n // 2)
-    assert kernel_calls == []
+    assert [lo for *_, lo in kernel_inputs] == [0, 0, n // 2]
+    assert all(a.dtype == object and not a.any() for a, _, _ in kernel_inputs)
 
 
 @pytest.mark.parametrize("n", [1, 16, 1000])
@@ -205,28 +234,34 @@ def test_prime_count_steps(n, k):
 
     The outputs reach +-bound, so y = x + bound meets both ends of [0, 2 * bound].
     """
-    top = math.prod(ring._crt_primes(n, 1 << 200)[:k])
+    top = math.prod(_cap(n)[:k])
     for bound, count in (((top - 1) // 2, k), ((top + 1) // 2, k + 1)):
         assert len(ring._crt_primes(n, bound)) == count
         a = [bound] + [0] * (n - 1)
         b = [(1, -1, 0)[m % 3] for m in range(n)]
         got = _crt(a, b, n, bound)
-        assert got == ring._convolve_exact(a, b, n, 0)
+        assert got == exact_convolution(a, b, n, 0)
         assert got[0] == bound and (n < 2 or got[1] == -bound)
 
 
-def test_prime_cap():
-    """The table stops at _CRT_MAX_PRIMES: one bound more falls back to the loop."""
+def test_prime_cap(kernel_inputs):
+    """The table stops at _CRT_MAX_PRIMES: a dense product whose bound needs
+    that many primes takes the CRT, one that needs one more the object kernel."""
     n = 64
-    primes = ring._crt_primes(n, 1 << 2000)
-    assert primes is None
-    h = (62 - (2 * math.isqrt(n)).bit_length()) // 2
-    cap = [ring._crt_prime(h, i) for i in range(ring._CRT_MAX_PRIMES)]
+    assert ring._crt_primes(n, 1 << 2000) is None
+    cap = _cap(n)
     limit = math.prod(cap)
     assert ring._crt_primes(n, (limit - 1) // 2) == cap
     assert ring._crt_primes(n, (limit + 1) // 2) is None
-    a = [(limit - 1) // 2, 3, -5, 7] * (n // 4)
-    assert _convolve_z(a, a, n) == ring._convolve_exact(a, a, n, 0)
+    s2 = 2 * math.isqrt(n)
+    b = [1, -1, 1, 1] * (n // 4)
+    # bound = top * s2: 2 * bound < limit at the cap, 2 * bound > limit past it
+    for top, k in ((limit // (2 * s2), len(cap)), (limit // (2 * s2) + 1, 0)):
+        a = [top, 3, -5, 7] * (n // 4)
+        assert len(ring._crt_primes(n, _gate_bound(a, b, n)) or ()) == k
+        assert _convolve_z(a, b, n) == exact_convolution(a, b, n, 0)
+        assert _routes(kernel_inputs) == ([(n, np.int64)] * k if k else [(n, object)])
+        kernel_inputs.clear()
 
 
 # n at each edge where 2 * isqrt(n) gains a bit, up to 10**9
@@ -235,9 +270,11 @@ TABLE_NS = sorted({1, 2, 3, 10**9} | {v for j in range(1, 15) for v in (4**j - 1
 
 @pytest.mark.parametrize("n", TABLE_NS)
 def test_prime_table_is_sound(n):
-    """Every chosen prime is a proven prime whose residue products pass the gate."""
-    widest = (1 << 63) ** 2 * 2 * math.isqrt(n)  # two int64 extremes
-    for bound in (1 << 62, widest, widest << 100):
+    """Every chosen prime is a proven prime whose residue products pass the
+    gate, for bounds up to the largest within _CRT_MAX_PRIMES primes."""
+    cap = math.prod(_cap(n))
+    assert ring._crt_primes(n, (cap + 1) // 2) is None
+    for bound in (1 << 62, math.prod(_cap(n)[:-1]) // 2, (cap - 1) // 2):
         primes = ring._crt_primes(n, bound)
         assert len(set(primes)) == len(primes)
         assert math.prod(primes) > 2 * bound
@@ -247,58 +284,48 @@ def test_prime_table_is_sound(n):
             assert kernels.convolution_fits_i64(p - 1, p - 1, n)
 
 
-def _crossover_operands(n: int, pairs: int, bits: int = 40):
-    """A sparse operand whose exact loop visits `pairs` (at least n) divisor
-    pairs, and a dense one.  The sparse one is nonzero at d = 1, 2, ... while
-    more than n // 2 pairs are left, then at that many d above n // 2, each
-    adding one pair."""
-    top = 1 << bits
-    sparse = [0] * n
-    left, d = pairs, 1
-    while left > n - n // 2:
-        sparse[d - 1] = top - d
-        left -= n // d
-        d += 1
-    for d in range(n // 2 + 1, n // 2 + 1 + left):
-        sparse[d - 1] = top - d
-    assert sum(n // d for d in range(1, n + 1) if sparse[d - 1]) == pairs
-    dense = [(-1) ** m * (top - m) for m in range(n)]
-    return sparse, dense
-
-
-def test_sparse_crossover(kernel_calls):
-    """At most k (n + _CRT_PASS_PAIRS 2 isqrt(n)) loop pairs keep the loop; one more takes the CRT."""
+def test_sparse_crossover(kernel_inputs):
+    """An operand with 2 isqrt(n) nonzero values takes one object kernel call,
+    as a; one value more takes the CRT, one int64 kernel call per prime."""
     n = 1024
-    probe, dense = _crossover_operands(n, n)
-    k = len(ring._crt_primes(n, _gate_bound(probe, dense, n)))
-    limit = k * (n + ring._CRT_PASS_PAIRS * 2 * math.isqrt(n))
-    for pairs, calls in ((limit, []), (limit + 1, [n] * k)):
-        sparse, dense = _crossover_operands(n, pairs)
-        assert len(ring._crt_primes(n, _gate_bound(sparse, dense, n))) == k
-        got = _convolve_z(dense, sparse, n)
-        assert got == ring._convolve_exact(sparse, dense, n, 0)
-        assert kernel_calls == calls
-        kernel_calls.clear()
+    s2 = 2 * math.isqrt(n)
+    top = 1 << 40
+    dense = [(-1) ** m * (top - m) for m in range(n)]
+    for count in (s2, s2 + 1):
+        sparse = [top - m if m % 5 == 0 and m < 5 * count else 0 for m in range(n)]
+        assert n - sparse.count(0) == count
+        k = len(ring._crt_primes(n, _gate_bound(sparse, dense, n)))
+        assert _convolve_z(dense, sparse, n) == exact_convolution(sparse, dense, n, 0)
+        if count == s2:
+            assert _routes(kernel_inputs) == [(n, object)]
+            assert kernel_inputs[0][0][1:].tolist() == sparse
+        else:
+            assert _routes(kernel_inputs) == [(n, np.int64)] * k
+        kernel_inputs.clear()
 
 
-def test_sparse_operand_goes_outside():
-    """epsilon * f and f * epsilon are equal and both loop over f once."""
-
-    class Counted(int):
-        def __bool__(self):
-            tests[0] += 1
-            return int.__bool__(self)
-
-    tests = [0]
+def test_sparse_operand_goes_outside(kernel_inputs):
+    """epsilon * f and f * epsilon past the gate give the kernel epsilon as a."""
     n = 2000
-    eps = [Counted(1)] + [Counted(0)] * (n - 1)
-    f = [Counted(m % 7 - 3) for m in range(n)]
-    left = ring._convolve_exact(eps, f, n, 0)
-    assert tests[0] <= 2 * n
-    tests[0] = 0
-    right = ring._convolve_exact(f, eps, n, 0)
-    assert tests[0] <= 2 * n
-    assert left == right == tuple(f)
+    eps = [1] + [0] * (n - 1)
+    f = widened([m % 7 - 3 for m in range(n)])
+    assert _convolve_z(eps, f, n) == _convolve_z(f, eps, n) == tuple(f)
+    assert len(kernel_inputs) == 2
+    for a, b, _ in kernel_inputs:
+        assert a.dtype == object and a[1:].tolist() == eps and b[1:].tolist() == f
+
+
+def test_int64_operands_past_the_gate_do_not_wrap():
+    """Two int64 operands past the gate, one sparse, give an exact object product."""
+    n = 1000
+    big = (1 << 63) - 1
+    sparse = [big - m if m % 100 == 0 else 0 for m in range(n)]
+    dense = [(-1) ** m * (big - m) for m in range(n)]
+    assert ring._pack(sparse).dtype == ring._pack(dense).dtype == np.int64
+    want = exact_convolution(sparse, dense, n, 0)
+    got = ring._product(_operand(dense), _operand(sparse), n)
+    assert got.dtype == object and _at(got) == want
+    assert convolve(make(dense, Z), make(sparse, Z)).values == want
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +347,7 @@ def rank_one_divisions(draw, max_n: int = 80, max_bits: int = 70):
     lead = draw(st.sampled_from((1, -1, 2, -2, 3, -7, 1 << 40, -(1 << 70) - 1)))
     b = [lead] + draw(st.lists(values, min_size=n - 1, max_size=n - 1))
     q = draw(st.lists(values, min_size=n, max_size=n))
-    a = list(ring._convolve_exact(b, q, n, 0))
+    a = list(exact_convolution(b, q, n, 0))
     edges = sorted({1, 2, 3, n} | {v for j in range(7) for v in (1 << j, (1 << j) + 1)})
     at = draw(st.sampled_from([e for e in edges if e <= n]))
     if draw(st.booleans()):
@@ -340,7 +367,7 @@ def test_block_solve_matches_the_sequential_solve(case):
 def test_witness_at_every_block_edge(lead, n):
     b = [lead] + [(-1) ** m * (m * 7919 % 1000003) << 30 for m in range(1, n)]
     q = [(m * 104729 % 999983) << 35 for m in range(1, n + 1)]
-    exact = list(ring._convolve_exact(b, q, n, 0))
+    exact = list(exact_convolution(b, q, n, 0))
     assert _block_solve(exact, b, n) == (tuple(q), None)
     for at in sorted({1, 2, 3, n} | {v for j in range(8) for v in (1 << j, (1 << j) + 1)}):
         if at > n:
@@ -350,27 +377,27 @@ def test_witness_at_every_block_edge(lead, n):
         assert _block_solve(a, b, n) == (None, at) == _oracle(a, b, n)
 
 
-def test_wide_blocks_take_the_crt(kernel_calls, monkeypatch):
+def test_wide_blocks_take_the_crt(kernel_inputs, monkeypatch):
     """Blocks past the gate are CRT products; the solve stays identical."""
     crt = _spy(monkeypatch, "_convolve_crt")
     n = 2000
     b = [-5] + [(m * 7919 % 1000003 - 500000) << 24 for m in range(1, n)]
     q = [(m * 104729 % 999983 - 500000) << 20 for m in range(1, n + 1)]
-    a = list(ring._convolve_exact(b, q, n, 0))
+    a = list(exact_convolution(b, q, n, 0))
     assert _block_solve(a, b, n) == (tuple(q), None) == _oracle(a, b, n)
-    assert crt and kernel_calls
+    assert crt and kernel_inputs
 
 
-def test_blocks_of_a_divisor_past_int64(kernel_calls, monkeypatch):
+def test_blocks_of_a_divisor_past_int64(kernel_inputs, monkeypatch):
     """A divisor packed as object: its blocks take the CRT, witnesses included."""
     crt = _spy(monkeypatch, "_convolve_crt")
     n = 2000
     b = [3] + [(m * 7919 % 1000003 - 500000) << 60 for m in range(1, n)]
     q = [(m * 104729 % 999983 - 500000) << 8 for m in range(1, n + 1)]
     assert ring._pack(b).dtype == object
-    a = list(ring._convolve_exact(b, q, n, 0))
+    a = list(exact_convolution(b, q, n, 0))
     assert _block_solve(a, b, n) == (tuple(q), None) == _oracle(a, b, n)
-    assert crt and kernel_calls
+    assert crt and kernel_inputs
     a[1500] += 1
     assert _block_solve(a, b, n) == (None, 1501) == _oracle(a, b, n)
 
@@ -380,7 +407,7 @@ def test_block_solve_packs_its_divisor_once(monkeypatch):
     n = 200
     b = [1] + [m % 7 - 3 for m in range(1, n)]
     q = [m % 5 - 2 for m in range(n)]
-    a = ring._pack(list(ring._convolve_exact(b, q, n, 0)))
+    a = ring._pack(list(exact_convolution(b, q, n, 0)))
     b_store = ring._pack(b)
     packs = _spy(monkeypatch, "_pack")
     operands = _spy(monkeypatch, "_operand")
@@ -399,7 +426,7 @@ def test_block_quotient_stays_int64_while_it_fits(monkeypatch):
     n = 300
     b = [3] + [(m * 7919 % 1009 - 500) << 40 for m in range(1, n)]
     q = [(m * 104729 % 1013 - 500) << 20 for m in range(1, n + 1)]
-    a = ring._pack(list(ring._convolve_exact(b, q, n, 0)))
+    a = ring._pack(list(exact_convolution(b, q, n, 0)))
     assert a.dtype == object
     products = _spy(monkeypatch, "_product")
     got, witness = ring._block_solve(a, ring._pack(b), n)

@@ -1,15 +1,22 @@
-"""Differential tests: the int64 kernels against the exact big-int routes."""
+"""Differential tests: the kernels against exact loops and the exact sieve."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from arithring import Domain, build, convolve, make
 from arithring import kernels, ring
-from conftest import PRIME_POWER_VALUES, object_sieve, sigma_prime_power, trial_division
+from conftest import (
+    PRIME_POWER_VALUES,
+    exact_convolution,
+    object_sieve,
+    sigma_prime_power,
+    trial_division,
+)
 from conftest import exact_multiplicative as _exact_multiplicative
 
 # N = 1, 2, 3 and, around each s*s, the places where isqrt(N) or
@@ -45,7 +52,7 @@ def _array(n, rng, kind, mag):
 
 def _exact(a: np.ndarray, b: np.ndarray) -> list:
     n = a.shape[0] - 1
-    return list(ring._convolve_exact(a[1:].tolist(), b[1:].tolist(), n, 0))
+    return list(exact_convolution(a[1:].tolist(), b[1:].tolist(), n, 0))
 
 
 def _assert_kernel_matches_exact(n, rng, kind_a, kind_b, mag):
@@ -81,6 +88,36 @@ def test_convolve_asymmetric_gate_maxima(rng):
         b = _array(n, rng, "dense", 1)
         assert kernels.convolve_i64(a, b)[1:].tolist() == _exact(a, b)
         assert kernels.convolve_i64(b, a)[1:].tolist() == _exact(b, a)
+
+
+def _kernel_operands(n, rng):
+    """(a, b) pairs the kernel takes: int64, Python ints past 2**64,
+    Fractions, mixed dtypes (int64 values near 2**63 beside object ones
+    must not wrap), sparse operands and nu(1) on either side."""
+    small, sparse = _array(n, rng, "dense", 9), _array(n, rng, "sparse", 9)
+    huge = _array(n, rng, "dense", (1 << 63) - 1)
+    wide = np.array([0] + [rng.randint(-(1 << 80), 1 << 80) for _ in range(n)], object)
+    fractions = np.array(
+        [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)], object
+    )
+    nu1 = _array(n, rng, "zero", 1)
+    nu1[1] = 1
+    return [(small, sparse), (sparse, small), (wide, wide), (fractions, fractions),
+            (small, wide), (wide, small), (fractions, small), (sparse, wide),
+            (sparse.astype(object), huge), (huge, small.astype(object)),
+            (nu1, wide), (wide, nu1), (nu1, small), (small, nu1), (fractions, nu1)]
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_kernel_matches_the_oracle_at_every_lo(n, rng):
+    for a, b in _kernel_operands(n, rng):
+        dtype = object if object in (a.dtype, b.dtype) else np.int64
+        for lo in range(n + 1):
+            got = kernels.convolve_i64(a, b, lo)
+            assert got.dtype == dtype and got.shape == (n + 1,)
+            assert got[: lo + 1].tolist() == [0] * (lo + 1)
+            want = exact_convolution(a[1:].tolist(), b[1:].tolist(), n, 0, lo)
+            assert got[lo + 1 :].tolist() == list(want), (n, lo, a.dtype, b.dtype)
 
 
 SIEVES = {kernels.RULES[name][0]: value for name, value in PRIME_POWER_VALUES.items()}
@@ -143,7 +180,7 @@ def test_convolve_just_inside_gate_with_negative_extremes(n):
     g = make([1] * n, Domain.Z)
     assert ring._try_convolve_i64(ring._operand(f._num), ring._operand(g._num), n) is not None
     got = convolve(f, g)
-    assert got.values == ring._convolve_exact(f.values, g.values, n, 0)
+    assert got.values == exact_convolution(f.values, g.values, n, 0)
     assert got[n] == -max_a * 2 * math.isqrt(n) > -(1 << 62)
 
 
@@ -153,7 +190,7 @@ def test_out_of_gate_values_fall_back_to_exact(extreme):
     g = make([2, 3, 0, -4, 1, 1], Domain.Z)
     assert ring._try_convolve_i64(ring._operand(f._num), ring._operand(g._num), 6) is None
     got = convolve(f, g)
-    assert got.values == ring._convolve_exact(f.values, g.values, 6, 0)
+    assert got.values == exact_convolution(f.values, g.values, 6, 0)
     assert got[1] == 2 * extreme
 
 

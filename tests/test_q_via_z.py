@@ -4,13 +4,14 @@ A ``Domain.Q`` function stores integers F over their least common
 denominator L, and ``convolve``, ``inverse`` and ``divide`` run the ``Z``
 routes on F, whatever the divisor's leading value: a lead other than
 +-1/L scales the dividend by a power of the divisor's integer lead first.
-The oracles are the ``Fraction`` loops those routes replace, which the
-library keeps only for L wider than ``ring._MAX_SCALE_BITS``:
-``_convolve_exact`` with a ``Fraction`` zero, and ``_divide_solve`` over
-``Domain.Q``.  The inverse is the quotient of epsilon, so its oracle is
-``_divide_solve`` of epsilon.  Each differential test runs on two stores
-(conftest's ``stores``): F in int64, where the int64 kernel runs, and F
-widened to Python ints, where products and solves run past its gate.
+The oracles are ``Fraction`` loops: conftest's divisor-pair loop
+``exact_convolution`` with a ``Fraction`` zero, and ``_divide_solve`` over
+``Domain.Q``, which the library keeps only for L wider than
+``ring._MAX_SCALE_BITS``.  The inverse is the quotient of epsilon, so
+its oracle is ``_divide_solve`` of epsilon.  Each differential test runs
+on two stores (conftest's ``stores``): F in int64, where the int64 kernel
+runs, and F widened to Python ints, where products and solves run past
+its gate.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from arithring import (
 )
 from arithring import kernels, ring
 
-from conftest import WIDE, stores, widen
+from conftest import WIDE, exact_convolution, stores, widen
 
 Q, Z = Domain.Q, Domain.Z
 
@@ -126,7 +127,7 @@ def test_convolve_matches_fraction_loop(wide, data):
     g = _store(make(data.draw(rationals(kind)), Q), wide)
     n = min(f.bound, g.bound)
     got = convolve(f, g)
-    assert got.values == ring._convolve_exact(f.values[:n], g.values[:n], n, Fraction(0))
+    assert got.values == exact_convolution(f.values[:n], g.values[:n], n, Fraction(0))
     assert _all_fractions(got)
 
 
@@ -259,9 +260,9 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = kernels.convolve_i64
 
-    def counting(a, b):
+    def counting(a, b, lo=0):
         calls.append(a.shape[0] - 1)
-        return kernel(a, b)
+        return kernel(a, b, lo)
 
     monkeypatch.setattr(kernels, "convolve_i64", counting)
     return calls
@@ -272,19 +273,25 @@ def test_integral_q_convolution_reaches_the_kernel(kernel_calls):
     product = convolve(mobius, one)
     assert kernel_calls == [500]
     assert product == epsilon(500, Q)
-    assert product.values == ring._convolve_exact(mobius.values, one.values, 500, Fraction(0))
+    assert product.values == exact_convolution(mobius.values, one.values, 500, Fraction(0))
     assert kernel_calls == [500]
 
 
 def test_large_denominators_fail_the_gate(kernel_calls):
+    """Scaled by L near 10**12, F fails the int64 gate: the dense product takes
+    the CRT, one kernel call per prime.  Small denominators pass it."""
     dens = DENOMINATORS["large"]
     f = make([Fraction(k % 7 - 3, dens[k % len(dens)]) for k in range(60)], Q)
     g = make([Fraction(1, dens[-1])] + [Fraction(k % 5, dens[1]) for k in range(59)], Q)
+    (F, max_f), (G, max_g) = ring._operand(f._num), ring._operand(g._num)
+    assert not kernels.convolution_fits_i64(max_f, max_g, 60)
+    primes = ring._crt_primes(60, max_f * max_g * 2 * math.isqrt(60))
     got = convolve(f, g)
-    assert kernel_calls == []
-    assert got.values == ring._convolve_exact(f.values, g.values, 60, Fraction(0))
+    assert kernel_calls == [60] * len(primes) == [60] * 3
+    assert got.values == exact_convolution(f.values, g.values, 60, Fraction(0))
+    kernel_calls.clear()
     small = make([Fraction(k % 7 - 3, k % 4 + 1) for k in range(60)], Q)
-    assert convolve(small, small).values == ring._convolve_exact(
+    assert convolve(small, small).values == exact_convolution(
         small.values, small.values, 60, Fraction(0)
     )
     assert kernel_calls == [60]
@@ -312,7 +319,7 @@ def test_harmonic_keeps_the_fraction_loops(scalings):
     assert ring._denominator(f.values) is None
     assert f._den is None
     product = convolve(f, f)
-    assert product.values == ring._convolve_exact(f.values, f.values, n, Fraction(0))
+    assert product.values == exact_convolution(f.values, f.values, n, Fraction(0))
     assert product.values[:6] == tuple(Fraction(t, k) for k, t in enumerate((1, 2, 2, 3, 2, 4), 1))
     mobius = build("mobius", n, Q)
     assert inverse(f).values == tuple(v / k for k, v in enumerate(mobius.values, 1))
@@ -327,7 +334,7 @@ def test_scale_width_bound(scalings):
     top = 1 << (ring._MAX_SCALE_BITS - 1)
     for den, scaled in ((top, True), (2 * top, False)):
         f = make([Fraction(1, den), Fraction(3, 2), Fraction(0), Fraction(-5, den)], Q)
-        oracle = ring._convolve_exact(f.values, f.values, 4, Fraction(0))
+        oracle = exact_convolution(f.values, f.values, 4, Fraction(0))
         assert convolve(f, f).values == oracle
         assert inverse(f).values == _fraction_inverse(f)
         assert divide(f, f).quotient == epsilon(4, Q)

@@ -39,6 +39,8 @@ from arithring import ring
 from arithring.classical import _first_mismatch
 from arithring.ring import NotInDomain, with_domain
 
+from conftest import exact_convolution
+
 Q, Z = Domain.Q, Domain.Z
 
 # five primes near 10^6: their lcm, about 100 bits, is too wide to store
@@ -252,7 +254,7 @@ def test_routes_and_backends_reach_one_store():
         crt = ring._convolve_crt(F, G, n, bound, ring._crt_primes(n, bound), 0)
         h = convolve(f, g)
         products = [h, convolve(g, f), make(h.values, Z), ArithFunc(Z, crt, 1),
-                    make(ring._convolve_exact(f.values, g.values, n, 0), Z), inverse(inverse(h))]
+                    make(exact_convolution(f.values, g.values, n, 0), Z), inverse(inverse(h))]
         quotients = [
             (divide(h, a).quotient, make(ring._divide_solve(h.values, a.values, n, 1, Z)[0], Z), b)
             for a, b in ((f, g), (g, f))
@@ -346,4 +348,4 @@ def test_int64_routes_neither_pack_nor_unpack(monkeypatch):
     assert report.ok
     assert packs == [] and fromiter == suite_fromiter == 0
     assert max(unpacked + suite_unpacked) <= math.isqrt(n)
-    assert product.values == ring._convolve_exact(f.values, g.values, n, 0)
+    assert product.values == exact_convolution(f.values, g.values, n, 0)
