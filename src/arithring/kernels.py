@@ -50,17 +50,19 @@ def convolution_fits_i64(max_a: int, max_b: int, n: int) -> bool:
 def convolve_i64(a: np.ndarray, b: np.ndarray, lo: int = 0) -> np.ndarray:
     """(a * b)(k) = sum over divisor pairs d*m = k of a[d] b[m], lo < k <= n.
 
+    n = len(b) - 1; `a` may be shorter, and is zero past its end.
     Dirichlet's hyperbola split at s = isqrt(n): rows d <= s add a[d] * b
     along out[d::d] from the first multiple of d above lo; the pairs with
     d > s have m <= n // (s + 1), and each such column m adds b[m] * a[j]
-    along out[j*m::m] from j = max(s + 1, lo // m + 1).  Every pair is
-    visited once, in about 2*sqrt(n) vectorised passes, and a zero a[d] or
-    b[m] skips its pass.  The output is int64, where the gate bounds every
-    partial sum, or ``object`` when either operand is; slots 0..lo are 0.
-    The name predates ``object`` operands; perfbench's tracer and the
-    benchmark's per-layer metrics know the kernel by it.
+    along out[j*m::m] from j = max(s + 1, lo // m + 1) to a's end.  Every
+    pair is visited once, in about 2*sqrt(n) vectorised passes, and a zero
+    a[d] or b[m] skips its pass; past a's end there are no columns.  The
+    output is int64, where the gate bounds every partial sum, or ``object``
+    when either operand is; slots 0..lo are 0.  The name predates
+    ``object`` operands; perfbench's tracer and the benchmark's per-layer
+    metrics know the kernel by it.
     """
-    n = a.shape[0] - 1
+    n, na = b.shape[0] - 1, a.shape[0] - 1
     s = math.isqrt(n)
     dtype = object if object in (a.dtype, b.dtype) else np.int64
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
@@ -69,10 +71,12 @@ def convolve_i64(a: np.ndarray, b: np.ndarray, lo: int = 0) -> np.ndarray:
         if ad:
             first = lo // d + 1
             out[first * d :: d] += ad * b[first : n // d + 1]
+    if na <= s:  # a is zero from s + 1 on: no column has a pair
+        return out
     for m, bm in enumerate(b[1 : n // (s + 1) + 1].tolist(), 1):
         if bm:
             first = max(s + 1, lo // m + 1)
-            out[first * m :: m] += bm * a[first : n // m + 1]
+            out[first * m : na * m + 1 : m] += bm * a[first : n // m + 1]
     return out
 
 

@@ -20,7 +20,10 @@ scalar multiples run on F, in int64 behind an exact gate.
 f * g = (F * G) / (L_f L_g), so both domains multiply on the one
 convolution kernel of :mod:`arithring.kernels`: over int64 when its
 overflow gate passes, else on residues modulo a few primes with a CRT
-rebuild when both operands are dense, else over ``object``.  The
+rebuild when both operands are dense, else over ``object``.  The CRT
+reduces int64 by floor division, never numpy's slower ``%``, and
+rebuilds in place on one ``object`` array; the ``object`` kernel takes
+the sparser operand cut after its last nonzero value.  The
 inverse of f is the quotient of epsilon by f, by one triangular solve
 over Z on F, in doubling blocks for a divisor of rank 1 (a relaxed
 solve; van der Hoeven, "Relax, but don't be too lazy", JSC 2002),
@@ -405,14 +408,14 @@ def _try_convolve_i64(pa, pb, n: int, lo: int = 0) -> Optional[np.ndarray]:
     return kernels.convolve_i64(arr_a, arr_b, lo)
 
 
-# The CRT route takes at most this many primes.  Measured at N = 80 000,
-# dense operands, best of 7 on 2 cores: it beats the object kernel up to
-# 6 primes (60-bit values, 0.08 s against 0.12 s) and loses from 7 (76 to
-# 88 bits, 0.17-0.20 s against 0.15-0.16 s), where reducing the wide
-# operands costs more than the big-int products it replaces.
-_CRT_MAX_PRIMES = 6
-# Values rebuilt per Python pass, so the temporary lists stay small.
-_REBUILD_CHUNK = 1 << 14
+# The CRT route takes at most this many primes.  Measured at N = 80 000 on
+# dense operands of equal width, each route best of 5-7, interleaved, on
+# 2 cores: the CRT's time over the object kernel's had median 0.91 at 8
+# primes (values up to 98 bits; CRT faster in 9 of 10 runs) and 1.07 at
+# 9 (faster in 3 of 8), where reducing the wide operands costs more than
+# the big-int products it replaces.  A 3-bit operand beside a wide one
+# crosses over at 8 to 9 primes too.
+_CRT_MAX_PRIMES = 8
 
 
 @functools.cache
@@ -441,28 +444,44 @@ def _crt_primes(n: int, bound: int) -> Optional[list]:
     return primes
 
 
+def _residue(arr: np.ndarray, p: int) -> np.ndarray:
+    """arr mod p in [0, p), as int64.
+
+    On int64, x - (x // p) * p: numpy's int64 ``//`` by a scalar is several
+    times faster than its ``%``.  Near -2**63 the product (x // p) * p
+    leaves int64 and wraps, but the difference wraps back to the true
+    remainder.  An ``object`` array takes Python's ``%``.
+    """
+    if arr.dtype == object:
+        return (arr % p).astype(np.int64)
+    q = arr // p
+    q *= p
+    return np.subtract(arr, q, out=q)
+
+
 def _convolve_crt(pa, pb, n: int, bound: int, primes: list, lo: int) -> np.ndarray:
     """The product of two operands on lo+1..n, zero on 0..lo, from its residues modulo `primes`.
 
-    Per prime, one numpy ``%`` reduces each array, for either dtype, and
-    one kernel call multiplies them.  Each output x lies in [-bound, bound],
-    so y = x + bound in [0, 2 * bound] is fixed by its residues.  Garner's
-    step writes y in mixed radix, y = v0 + p0 (v1 + p1 (v2 + ...)), digits
-    in int64.  Digit pairs form words below 2**62, less bound's own words,
-    and one Python pass per word boundary rebuilds the values (von zur
-    Gathen & Gerhard, *Modern Computer Algebra*, ch. 5), a chunk at a time
-    to bound the lists alive; the whole is packed once.
+    Per prime, :func:`_residue` reduces each array and one kernel call
+    multiplies them.  Each output x lies in [-bound, bound], so y = x +
+    bound in [0, 2 * bound] is fixed by its residues.  Garner's step
+    writes y in mixed radix, y = v0 + p0 (v1 + p1 (v2 + ...)), digits in
+    int64, each reduced by :func:`_residue`.  Digit pairs form words below
+    2**62, less bound's own words.  Horner's rule over the words rebuilds
+    the values in place on one ``object`` array, one C-level multiply and
+    add per word (von zur Gathen & Gerhard, *Modern Computer Algebra*,
+    ch. 5); the constructor narrows it to int64 when the values fit.
     """
     digits = []
     for p in primes:
-        ra, rb = [(arr % p).astype(np.int64, copy=False) for arr, _ in (pa, pb)]
+        ra, rb = [_residue(arr, p) for arr, _ in (pa, pb)]
         y = kernels.convolve_i64(ra, rb, lo)[lo + 1 :]
         y += bound % p
-        y %= p
+        y = _residue(y, p)
         for q, v in zip(primes, digits):
             y -= v
             y *= pow(q, -1, p)
-            y %= p
+            y = _residue(y, p)
         digits.append(y)
     words, radices = [], []  # in place: each word reuses its high digit's array
     for j in range(0, len(primes), 2):
@@ -479,14 +498,13 @@ def _convolve_crt(pa, pb, n: int, bound: int, primes: list, lo: int) -> np.ndarr
     for word, radix in zip(words, radices):
         word -= rest % radix
         rest //= radix
-    out = [0] * lo
-    for start in range(0, n - lo, _REBUILD_CHUNK):
-        part = slice(start, start + _REBUILD_CHUNK)
-        values = words[-1][part].tolist()
-        for word, radix in zip(words[-2::-1], radices[-2::-1]):
-            values = list(map(operator.add, map(radix.__mul__, values), word[part].tolist()))
-        out += values
-    return _pack(out)
+    out = np.zeros(n + 1, object)
+    values = out[lo + 1 :]  # a view: Horner's rule runs on out itself
+    values[:] = words[-1]
+    for word, radix in zip(words[-2::-1], radices[-2::-1]):
+        values *= radix
+        values += word
+    return out
 
 
 def _product(pa, pb, n: int, lo: int = 0) -> np.ndarray:
@@ -496,7 +514,8 @@ def _product(pa, pb, n: int, lo: int = 0) -> np.ndarray:
     with a CRT rebuild (:func:`_convolve_crt`) when k <= _CRT_MAX_PRIMES
     and both operands have more than 2 * isqrt(n) nonzero values, and
     otherwise the kernel over ``object`` with the sparser operand (`pa` on
-    a tie) as a, whose zeros skip their passes.  The cast keeps int64
+    a tie) as a, cut after its last nonzero value: its zeros skip their
+    row passes, and its zero tail every column pass.  The cast keeps int64
     operands past the gate out of the int64 accumulator.
     """
     if (fast := _try_convolve_i64(pa, pb, n, lo)) is not None:
@@ -506,7 +525,9 @@ def _product(pa, pb, n: int, lo: int = 0) -> np.ndarray:
         bound = pa[1] * pb[1] * 2 * math.isqrt(n)
         if (primes := _crt_primes(n, bound)) is not None:
             return _convolve_crt(pa, pb, n, bound, primes, lo)
-    return kernels.convolve_i64(sparse.astype(object), dense, lo)
+    nonzero = np.flatnonzero(sparse)
+    end = int(nonzero[-1]) + 1 if nonzero.size else 1
+    return kernels.convolve_i64(sparse[:end].astype(object), dense, lo)
 
 
 def convolve(f: ArithFunc, g: ArithFunc) -> ArithFunc:

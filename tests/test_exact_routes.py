@@ -65,8 +65,9 @@ def kernel_inputs(monkeypatch):
 
 def _routes(calls) -> list:
     """(bound, dtype of a) of each recorded kernel call: int64 for the int64
-    kernel and each CRT prime, object for the object kernel."""
-    return [(a.shape[0] - 1, a.dtype) for a, _, _ in calls]
+    kernel and each CRT prime, object for the object kernel.  The bound is
+    b's, since a sparse a is cut after its last nonzero value."""
+    return [(b.shape[0] - 1, a.dtype) for a, b, _ in calls]
 
 
 def _spy(monkeypatch, name: str) -> list:
@@ -151,14 +152,46 @@ def wide_pairs(draw, max_n: int = 120, max_bits: int = 200):
 # ---------------------------------------------------------------------------
 
 
-@given(wide_pairs(), st.sampled_from((1, 7, ring._REBUILD_CHUNK)))
+I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+@pytest.mark.parametrize("n", [1, 80_000, 10**6])
+def test_residue_matches_python_mod(n):
+    """ring._residue is Python's % for every CRT prime at n, on int64 and
+    object arrays, at the int64 extremes, 0, +-1, multiples of p and p +- 1."""
+    for p in _cap(n):
+        # below -2**63 + p the product (x // p) * p leaves int64 and wraps
+        assert (I64_MIN // p) * p < I64_MIN
+        xs = [I64_MIN, I64_MIN + 1, I64_MAX, 0, 1, -1, p, -p, 3 * p, -7 * p,
+              (I64_MAX // p) * p, -(-I64_MIN // p) * p, p - 1, p + 1, -p - 1, -p + 1,
+              I64_MIN + p - 1, I64_MAX - p + 1]
+        want = [x % p for x in xs]
+        for arr in (np.array(xs, np.int64), np.array(xs, object)):
+            got = ring._residue(arr, p)
+            assert got.dtype == np.int64 and got.tolist() == want, p
+
+
+def test_crt_result_that_fits_is_stored_as_int64():
+    """A CRT product from lo > 0 whose values fit int64 is zero on 0..lo, and
+    the function built on it stores int64."""
+    n, lo = 1024, 100
+    a = [1 << 28] * n  # gate bound 2**56 * 2 * isqrt(n) = 2**62 fails
+    bound = _gate_bound(a, a, n)
+    assert not kernels.convolution_fits_i64(1 << 28, 1 << 28, n)
+    primes = ring._crt_primes(n, bound)
+    out = ring._convolve_crt(_operand(a), _operand(a), n, bound, primes, lo)
+    assert _at(out, lo) == exact_convolution(a, a, n, 0, lo)
+    f = ring.ArithFunc(Z, out, 1)
+    assert f._num.dtype == np.int64
+    assert f.values == (0,) * lo + exact_convolution(a, a, n, 0, lo)
+
+
+@given(wide_pairs())
 @settings(max_examples=80)
-def test_crt_matches_the_exact_loop(case, chunk):
+def test_crt_matches_the_exact_loop(case):
     a, b, n, lo = case
     want = exact_convolution(a, b, n, 0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring, "_REBUILD_CHUNK", chunk)
-        assert _crt(a, b, n, _gate_bound(a, b, n), lo) == want[lo:]
+    assert _crt(a, b, n, _gate_bound(a, b, n), lo) == want[lo:]
     assert exact_convolution(a, b, n, 0, lo) == want[lo:]
 
 
@@ -228,9 +261,10 @@ def test_zero_beside_a_wide_operand_skips_the_kernel(kernel_inputs):
 
 
 @pytest.mark.parametrize("n", [1, 16, 1000])
-@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
 def test_prime_count_steps(n, k):
     """k primes cover 2 * bound just below their product; one more bound needs k + 1.
+    At k = 7 the step reaches the cap of 8 primes.
 
     The outputs reach +-bound, so y = x + bound meets both ends of [0, 2 * bound].
     """
@@ -246,10 +280,11 @@ def test_prime_count_steps(n, k):
 
 def test_prime_cap(kernel_inputs):
     """The table stops at _CRT_MAX_PRIMES: a dense product whose bound needs
-    that many primes takes the CRT, one that needs one more the object kernel."""
+    that many primes (8) takes the CRT, one that needs 9 the object kernel."""
     n = 64
     assert ring._crt_primes(n, 1 << 2000) is None
     cap = _cap(n)
+    assert len(cap) == 8
     limit = math.prod(cap)
     assert ring._crt_primes(n, (limit - 1) // 2) == cap
     assert ring._crt_primes(n, (limit + 1) // 2) is None
@@ -298,21 +333,51 @@ def test_sparse_crossover(kernel_inputs):
         assert _convolve_z(dense, sparse, n) == exact_convolution(sparse, dense, n, 0)
         if count == s2:
             assert _routes(kernel_inputs) == [(n, object)]
-            assert kernel_inputs[0][0][1:].tolist() == sparse
+            assert kernel_inputs[0][0][1:].tolist() == sparse[: 5 * (count - 1) + 1]
         else:
             assert _routes(kernel_inputs) == [(n, np.int64)] * k
         kernel_inputs.clear()
 
 
+@pytest.mark.parametrize("lo", [0, 37])
+def test_object_kernel_takes_the_sparse_operand_cut(kernel_inputs, lo):
+    """Past the gate, the object kernel's a is the sparser operand up to its
+    last nonzero value, in either order, and b the other one whole."""
+    n = 1000
+    sparse = [0] * n
+    for m, v in ((0, 3), (6, -1 << 70), (40, 5)):
+        sparse[m] = v
+    dense = widened([m % 9 - 4 for m in range(n)])
+    want = exact_convolution(sparse, dense, n, 0, lo)
+    assert _convolve_z(sparse, dense, n, lo) == _convolve_z(dense, sparse, n, lo) == want
+    assert _routes(kernel_inputs) == [(n, object)] * 2
+    for a, b, at in kernel_inputs:
+        assert a.tolist() == [0, *sparse[:41]] and b[1:].tolist() == dense and at == lo
+
+
+def test_associates_quotient_enters_the_kernel_cut(kernel_inputs):
+    """are_associates(h, -h) solves in blocks whose products have the
+    quotient -epsilon as a: past the first product (bound 2, a tie of one
+    nonzero value each), every kernel call gets a = [0, -1]."""
+    h = _h()
+    assert h._num.dtype == object
+    kernel_inputs.clear()
+    assert are_associates(h, scale(h, -1))
+    blocks = [(a, b) for a, b, lo in kernel_inputs if lo > 1]
+    assert len(blocks) == math.ceil(math.log2(h.bound)) - 1
+    assert all(a.tolist() == [0, -1] and b.dtype == object for a, b in blocks)
+
+
 def test_sparse_operand_goes_outside(kernel_inputs):
-    """epsilon * f and f * epsilon past the gate give the kernel epsilon as a."""
+    """epsilon * f and f * epsilon past the gate give the kernel epsilon as a,
+    cut after its one nonzero value."""
     n = 2000
     eps = [1] + [0] * (n - 1)
     f = widened([m % 7 - 3 for m in range(n)])
     assert _convolve_z(eps, f, n) == _convolve_z(f, eps, n) == tuple(f)
     assert len(kernel_inputs) == 2
     for a, b, _ in kernel_inputs:
-        assert a.dtype == object and a[1:].tolist() == eps and b[1:].tolist() == f
+        assert a.dtype == object and a.tolist() == [0, 1] and b[1:].tolist() == f
 
 
 def test_int64_operands_past_the_gate_do_not_wrap():

@@ -120,6 +120,32 @@ def test_kernel_matches_the_oracle_at_every_lo(n, rng):
             assert got[lo + 1 :].tolist() == list(want), (n, lo, a.dtype, b.dtype)
 
 
+@pytest.mark.parametrize("n", range(1, 41))
+def test_kernel_with_a_shorter_a_matches_the_oracle_at_every_lo(n, rng):
+    """An a shorter than b is zero past its end; n = len(b) - 1.  The cuts
+    include nu(1), -epsilon, an a zero past isqrt(n) cut at its last
+    nonzero value, a cut just past isqrt(n) and a random one."""
+    s = math.isqrt(n)
+    low = _array(n, rng, "dense", 9)
+    low[s + 1 :] = 0
+    low[s] = 7
+    pairs = _kernel_operands(n, rng)
+    pairs += [(np.array([0, 1]), b) for _, b in pairs[:3]]
+    pairs += [(np.array([0, -1], object), b) for _, b in pairs[:3]]
+    pairs += [(low[: s + 1], b) for _, b in pairs[:4]]
+    for a, b in pairs:
+        dtype = object if object in (a.dtype, b.dtype) else np.int64
+        for end in sorted({len(a), s + 2, rng.randint(1, n + 1)}):
+            cut = a[:end]
+            padded = cut[1:].tolist() + [0] * (n + 1 - len(cut))
+            for lo in range(n + 1):
+                got = kernels.convolve_i64(cut, b, lo)
+                assert got.dtype == dtype and got.shape == (n + 1,)
+                assert got[: lo + 1].tolist() == [0] * (lo + 1)
+                want = exact_convolution(padded, b[1:].tolist(), n, 0, lo)
+                assert got[lo + 1 :].tolist() == list(want), (n, lo, len(cut), a.dtype, b.dtype)
+
+
 SIEVES = {kernels.RULES[name][0]: value for name, value in PRIME_POWER_VALUES.items()}
 
 
