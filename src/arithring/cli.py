@@ -71,8 +71,7 @@ def _render(result, fmt: Optional[str]) -> tuple[str, int]:
         return serialize.dumps(result) + "\n", 0
     if fmt == "csv":
         return serialize.to_csv(result), 0
-    values = serialize.coefficient_strings(result)
-    return "".join(f"{i} {v}\n" for i, v in enumerate(values, 1)), 0
+    return serialize.to_lines(result, " "), 0
 
 
 # ---------------------------------------------------------------------------

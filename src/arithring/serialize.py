@@ -9,6 +9,12 @@ denominator is 1.  "bound" may be left out; when present it must be a JSON
 integer equal to the number of values.  CSV is the bare value table, one
 "index,value" line per index 1..N; it carries no domain tag, so loaders take
 the domain as an argument (the CLI passes its --domain flag).
+
+Each output is built by one %-formatting pass over the store F: with L = 1
+the ints of F go in by ``%d`` and no per-value string is made, otherwise the
+coefficient strings go in by ``%s``.  A coefficient string holds only
+digits, "-" and "/", so JSON needs no escaping and ``dumps`` writes its
+fixed frame without the json module.
 """
 
 from __future__ import annotations
@@ -46,6 +52,26 @@ def coefficient_strings(f: ArithFunc) -> list[str]:
     return out
 
 
+def _cells(f: ArithFunc) -> tuple[list, str]:
+    """f(1), ..., f(N) as format arguments with their conversion: the ints
+    of F by %d when L = 1, else coefficient_strings by %s."""
+    if f._den == 1:
+        return f._num[1:].tolist(), "%d"
+    return coefficient_strings(f), "%s"
+
+
+def to_lines(f: ArithFunc, sep: str) -> str:
+    """One "n<sep>f(n)" line per index 1..N, in one formatting pass."""
+    values, conv = _cells(f)
+    n = len(values)
+    cells = [0] * (2 * n)
+    cells[::2] = range(1, n + 1)
+    cells[1::2] = values
+    del values  # both lists are freed before the text is built
+    cells = tuple(cells)
+    return f"%d{sep}{conv}\n" * n % cells
+
+
 def to_json_obj(f: ArithFunc) -> dict:
     return {
         "domain": f.domain.value,
@@ -80,7 +106,11 @@ def from_json_obj(obj) -> ArithFunc:
 
 
 def dumps(f: ArithFunc) -> str:
-    return json.dumps(to_json_obj(f), separators=(",", ":"))
+    """The compact JSON of to_json_obj(f), in one formatting pass."""
+    values, conv = _cells(f)
+    slots = ",".join([f'"{conv}"'] * len(values))
+    frame = f'{{"domain":"{f.domain.value}","bound":{f.bound},"values":[{slots}]}}'
+    return frame % tuple(values)
 
 
 def loads(text: str) -> ArithFunc:
@@ -92,8 +122,7 @@ def loads(text: str) -> ArithFunc:
 
 
 def to_csv(f: ArithFunc) -> str:
-    lines = [f"{i},{v}" for i, v in enumerate(coefficient_strings(f), 1)]
-    return "\n".join(lines) + "\n"
+    return to_lines(f, ",")
 
 
 def from_csv(text: str, domain: Domain = Domain.Q) -> ArithFunc:

@@ -6,14 +6,15 @@ classical functions by per-index factorization/counting or a per-multiple
 valuation loop, antichains by testing every pair, poset width by
 exhaustive antichain enumeration or by bipartite matching, Hasse diagrams
 and lattice verdicts by checking every pair or triple, the prime property
-by scanning every pair.  The cover oracle checks a chain partition and its
-antichain certificate.
+by scanning every pair, function output by one f-string per value.  The
+cover oracle checks a chain partition and its antichain certificate.
 Expected values frozen into tests were computed with these.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from collections import deque
@@ -155,6 +156,27 @@ def object_sieve(name: str, n: int) -> ArithFunc:
     head, _, k = name.partition("_")
     rule = kernels.sigma_rule(int(k)) if head == "sigma" else kernels.RULES[name][1]
     return ArithFunc(Domain.Z, kernels._multiplicative(n, rule, object), 1)
+
+
+def oracle_strings(f: ArithFunc) -> list[str]:
+    """Every value as the function files write it, read from f.values:
+    str of an int or a Fraction is "p", or "p/q" in lowest terms."""
+    return [str(v) for v in f.values]
+
+
+def oracle_text(f: ArithFunc) -> str:
+    """The CLI's text output as one f-string per line."""
+    return "".join(f"{i} {v}\n" for i, v in enumerate(oracle_strings(f), 1))
+
+
+def oracle_csv(f: ArithFunc) -> str:
+    lines = [f"{i},{v}" for i, v in enumerate(oracle_strings(f), 1)]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_json(f: ArithFunc) -> str:
+    obj = {"domain": f.domain.value, "bound": f.bound, "values": oracle_strings(f)}
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def pairwise_antichain(members) -> bool:

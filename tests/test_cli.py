@@ -164,6 +164,13 @@ class TestLatticeCommands:
         assert code == 0
         assert "width: 2" in out and "boolean: false" in out
 
+    def test_report_at_the_root_limit(self, capsys):
+        code, out, _ = run(capsys, "lattice-report", str(10**18))
+        assert code == 0 and len(json.loads(out)["elements"]) == 19 * 19
+        code, out, err = run(capsys, "lattice-report", str(10**18 + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: {10**18 + 1} exceeds the root limit {10**18}\n"
+
     def test_chains(self, capsys):
         code, out, _ = run(capsys, "lattice-chains", "30", "--format", "json")
         assert code == 0

@@ -360,6 +360,19 @@ class TestStructuralVerdicts:
         assert report["distributive"] is True
         assert report["complemented"] is False and report["boolean"] is False
 
+    def test_most_divisors_under_the_default_root_limit(self):
+        # 2^8 3^4 5^2 7^2 11 13 17 19 23 29 31 37, the root below 10^18
+        # with the most divisors; no time is asserted
+        root = 897612484786617600
+        assert root <= DEFAULT_ROOT_LIMIT == 10**18
+        layers = [1]  # coefficients of prod (1 + x + ... + x^e)
+        for _, e in numutil.factorize(root):
+            layers = [sum(layers[max(0, k - e):k + 1]) for k in range(len(layers) + e)]
+        report = lattice_report(root)
+        assert len(report["elements"]) == sum(layers) == 103680
+        assert report["width"] == layers[len(layers) // 2] == 10988
+        assert report["distributive"] is True and report["complemented"] is False
+
     def test_width_is_middle_coefficient(self):
         # the width is the middle coefficient of prod (1 + x + ... + x^e):
         # 2^5 3^4 5^2 7^2 11 13 17 89 (the benchmark's chain-cover shape)

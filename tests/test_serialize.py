@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arithring import Domain, make
+from arithring.cli import _render
 from arithring.serialize import (
     ParseError,
     coefficient_to_str,
@@ -22,7 +25,7 @@ from arithring.serialize import (
     to_json_obj,
 )
 
-from conftest import arith_funcs
+from conftest import WIDE, arith_funcs, oracle_csv, oracle_json, oracle_text, widen
 
 Q, Z = Domain.Q, Domain.Z
 
@@ -172,3 +175,80 @@ def test_output_from_the_store_matches_fraction_formatting(name, tmp_path, capsy
         assert main(["fn-eval", str(path), "--format", fmt]) == 0
         assert capsys.readouterr().out == out
     assert loads(dumps(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# every output, rendered in one pass, byte for byte as by one string per value
+# ---------------------------------------------------------------------------
+
+# distinct primes near 10^6: the least L of values over four of them passes
+# 64 bits, so such a function stores its Fractions
+PRIMES = (1000003, 1000033, 1000037, 1000039, 1000081)
+
+
+@st.composite
+def fraction_stores(draw):
+    drawn = draw(st.lists(st.fractions(-9, 9, max_denominator=6), max_size=12))
+    wide = [Fraction(draw(st.integers(-9, 9).filter(bool)), p) for p in PRIMES]
+    f = make(draw(st.permutations(drawn + wide)), Q)
+    assert f._den is None
+    return f
+
+
+def stores():
+    """int64 and object stores over Z, over Q with any L, and Fraction stores."""
+    return st.one_of(
+        arith_funcs(Z, max_bound=20),
+        arith_funcs(Z, max_bound=20).map(widen),
+        arith_funcs(Q, max_bound=20),
+        arith_funcs(Q, max_bound=20).map(widen),
+        fraction_stores(),
+    )
+
+
+def _assert_outputs_match_the_oracle(f):
+    text, csv, json_text = oracle_text(f), oracle_csv(f), oracle_json(f)
+    assert _render(f, "text") == (text, 0)
+    assert _render(f, "csv") == (csv, 0) and to_csv(f) == csv
+    assert _render(f, "json") == (json_text + "\n", 0) and dumps(f) == json_text
+    assert loads(dumps(f)) == f
+
+
+@given(stores())
+@settings(max_examples=150)
+def test_outputs_match_the_per_value_oracle(f):
+    _assert_outputs_match_the_oracle(f)
+
+
+ONE_VALUE = {
+    "int64": (make([-7], Z), np.int64, 1),
+    "object": (make([-(1 << 70)], Z), object, 1),
+    "L=3": (make(["-1/3"], Q), np.int64, 3),
+    "Fraction": (make([Fraction(-1, WIDE)], Q), object, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_VALUE))
+def test_outputs_at_bound_one_match_the_oracle(name):
+    f, dtype, den = ONE_VALUE[name]
+    assert f.bound == 1 and f._num.dtype == dtype and f._den == den
+    _assert_outputs_match_the_oracle(f)
+
+
+@pytest.mark.parametrize("values", [
+    [3, -1, 0, 7],
+    [3, -1, 0, 1 << 70],
+    ["1/6", "-2/3", 0, "5/2"],
+], ids=["int64", "object", "L=6"])
+def test_rendering_builds_no_value_tuple_or_fraction(values, monkeypatch):
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    for fmt in ("text", "csv", "json"):
+        f = make(values, Q)
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", no_fraction)
+            _render(f, fmt)
+            to_csv(f)
+            dumps(f)
+        assert "values" not in f.__dict__, fmt
