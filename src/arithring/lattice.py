@@ -32,19 +32,33 @@ from . import numutil
 # root below psi_12 in about root^(1/4) rho steps.  Raise it only as far as
 # lattice_report on the root with the most divisors under the new limit is
 # measured to finish in about a second.  Below 10^18 that root is
-# 897612484786617600, with 103680 divisors: its report takes 1.1 s on a
-# 2-vCPU x86 host.
+# 897612484786617600, with 103680 divisors: its report takes 0.15 s in
+# process on a 2-vCPU x86 host (0.3-0.5 s as a fresh `lattice-report`).
 DEFAULT_ROOT_LIMIT = 10**18
 
 
 @dataclass(frozen=True)
 class DivisorPoset:
-    """All divisors of `root`, ordered by divisibility."""
+    """All divisors of `root`, ordered by divisibility.
+
+    The Hasse diagram is not stored: `hasse_edges` builds it on first read,
+    which only `to_dot` does.
+    """
 
     root: int
     elements: tuple[int, ...]  # ascending
     atoms: tuple[int, ...]  # prime divisors = covers of 1
-    hasse_edges: tuple[tuple[int, int], ...]  # covering pairs (x, x*p)
+
+    @cached_property
+    def hasse_edges(self) -> tuple[tuple[int, int], ...]:
+        """The covering pairs (x, x*p), by ascending x and then ascending p.
+
+        x * p divides the root exactly when p divides root / x.
+        """
+        a, atoms = self.root, self.atoms
+        return tuple(
+            [(x, x * p) for x in self.elements for q in [a // x] for p in atoms if q % p == 0]
+        )
 
     @cached_property
     def _position(self) -> dict[int, int]:
@@ -76,17 +90,14 @@ class ChainCover:
 
 
 def co_ideal(a: int, root_limit: int = DEFAULT_ROOT_LIMIT) -> DivisorPoset:
-    """The divisor poset of a (every divisor, its atoms, its Hasse diagram)."""
+    """The divisor poset of a: every divisor and its atoms, from one factorization."""
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     if a > root_limit:
         raise ValueError(f"{a} exceeds the root limit {root_limit}")
-    primes = [p for p, _ in numutil.factorize(a)]
-    divs = numutil.divisors(a)
-    # x * p divides a exactly when p divides a / x; the edges come out
-    # sorted, by ascending x and then ascending p
-    edges = tuple((x, x * p) for x in divs for p in primes if a // x % p == 0)
-    return DivisorPoset(a, tuple(divs), tuple(primes), edges)
+    factors = numutil.factorize(a)
+    divs = numutil.divisors_of(factors)
+    return DivisorPoset(a, tuple(divs), tuple(p for p, _ in factors))
 
 
 def meet(x: int, y: int, poset: DivisorPoset) -> int:
@@ -122,7 +133,12 @@ def chain_cover(poset: DivisorPoset) -> ChainCover:
     """
     chains = [(1,)]
     total = 0
-    for p, e in numutil.factorize(poset.root):
+    rest = poset.root
+    for p in poset.atoms:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
         powers = [p**i for i in range(e + 1)]
         hooks = []
         for chain in chains:

@@ -162,14 +162,18 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def divisors(n: int) -> list[int]:
     """All divisors of n, ascending."""
+    return divisors_of(factorize(n))
+
+
+def divisors_of(factorization: list[tuple[int, int]]) -> list[int]:
+    """All divisors of p_1^e_1 ... p_k^e_k, given as [(p, e), ...], ascending.
+
+    Each prime multiplies the divisors found so far by p, e times over.
+    """
     divs = [1]
-    for p, e in factorize(n):
-        divs = [d * q for d in divs for q in _powers(p, e)]
+    for p, e in factorization:
+        new = divs
+        for _ in range(e):
+            new = [d * p for d in new]
+            divs += new
     return sorted(divs)
-
-
-def _powers(p: int, e: int) -> list[int]:
-    out = [1]
-    for _ in range(e):
-        out.append(out[-1] * p)
-    return out

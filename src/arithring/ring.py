@@ -38,6 +38,7 @@ import contextlib
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -48,6 +49,9 @@ from . import kernels, numutil
 from .core import Domain, RingError
 
 Coefficient = Union[int, Fraction]
+
+# coefficient text longer than this is cut short in an error message
+_QUOTE_CHARS = 40
 
 
 class NotInDomain(RingError):
@@ -75,7 +79,15 @@ def _coerce(value, domain: Domain) -> Coefficient:
         try:
             value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise NotInDomain(f"cannot parse coefficient {text!r}") from exc
+            shown = repr(text[:_QUOTE_CHARS])
+            if len(text) > _QUOTE_CHARS:
+                shown += f"... ({len(text)} characters)"
+            if str(exc).startswith("Exceeds the limit"):
+                shown += (
+                    f": more digits than Python's int string limit "
+                    f"{sys.get_int_max_str_digits()} (PYTHONINTMAXSTRDIGITS)"
+                )
+            raise NotInDomain(f"cannot parse coefficient {shown}") from exc
     if isinstance(value, float):
         raise NotInDomain(f"floating point value {value!r} rejected: arithmetic is exact")
     if isinstance(value, Fraction):

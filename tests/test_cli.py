@@ -277,6 +277,15 @@ class TestErrors:
         assert code == 2
         assert "line 2" in err
 
+    def test_long_coefficient_is_quoted_short(self, capsys, tmp_path):
+        # 5000 digits pass Python's int string limit (4300 by default)
+        big = tmp_path / "big.csv"
+        big.write_text("1," + "7" * 5000 + "\n2,3\n")
+        code, out, err = run(capsys, "fn-eval", str(big))
+        assert code == 2 and out == ""
+        assert len(err.encode()) < 200, err
+        assert "(5000 characters)" in err and "int string limit" in err
+
     def test_domain_mismatch_is_verdict_failure(self, capsys, tmp_path):
         from arithring.serialize import dump_path
 

@@ -27,7 +27,7 @@ from arithring import (
     to_dot,
     width,
 )
-from arithring import cli, numutil
+from arithring import cli, lattice, numutil
 from arithring.lattice import DEFAULT_ROOT_LIMIT
 
 from conftest import (
@@ -108,6 +108,40 @@ class TestCoIdeal:
             assert poset.hasse_edges == tuple(covering_pairs(naive_divisor_list(a))), a
         poset = co_ideal(963761198400, root_limit=10**12)
         assert poset.hasse_edges == tuple(covering_pairs(list(poset.elements)))
+
+    def test_lazy_edges_of_a_4320_divisor_root(self):
+        poset = co_ideal(686983096800, root_limit=10**12)
+        assert "hasse_edges" not in vars(poset)
+        assert poset.hasse_edges == tuple(covering_pairs(list(poset.elements)))
+        assert poset.hasse_edges is poset.hasse_edges
+
+    def test_reports_and_chains_build_no_edges(self, monkeypatch, capsys):
+        def no_edges(poset):
+            raise AssertionError("hasse_edges read")
+
+        monkeypatch.setattr(lattice.DivisorPoset, "hasse_edges", property(no_edges))
+        with pytest.raises(AssertionError, match="hasse_edges read"):
+            to_dot(co_ideal(12))
+        for a in (1, 12, 686983096800):
+            lattice_report(a)
+            chain_cover(co_ideal(a))
+            assert cli.main(["lattice-report", str(a)]) == 0
+            assert cli.main(["lattice-chains", str(a), "--format", "json"]) == 0
+        capsys.readouterr()
+
+    def test_report_factors_the_root_once(self, monkeypatch):
+        calls = []
+        factorize = numutil.factorize
+
+        def spy(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(numutil, "factorize", spy)
+        for a in (1, 30, 2**10, 686983096800, 999999937 * 999999929):
+            calls.clear()
+            lattice_report(a)
+            assert calls == [a]
 
 
 class TestMeetJoin:

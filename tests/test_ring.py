@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,14 @@ class TestConstruction:
     def test_make_over_z_rejects_values_that_are_not_integers(self, value, message):
         with pytest.raises(NotInDomain, match=message):
             make([1, 2, value], Z)
+
+    def test_long_unparsable_text_is_quoted_short(self):
+        with pytest.raises(NotInDomain) as info:
+            make([1, "y" * 100], Z)
+        assert str(info.value) == "cannot parse coefficient '" + "y" * 40 + "'... (100 characters)"
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(NotInDomain, match=rf"\({digits} characters\): more digits than"):
+            make(["9" * digits], Z)
 
     def test_make_over_z_keeps_exact_ints(self):
         values = [5, -(1 << 70), 0, 1 << 63]
