@@ -25,11 +25,11 @@ reduces int64 by floor division, never numpy's slower ``%``, and
 rebuilds in place on one ``object`` array; the ``object`` kernel takes
 the sparser operand cut after its last nonzero value.  The
 inverse of f is the quotient of epsilon by f, by one triangular solve
-over Z on F, in doubling blocks for a divisor of rank 1 (a relaxed
-solve; van der Hoeven, "Relax, but don't be too lazy", JSC 2002),
-sequentially otherwise.  Over Q the dividend is first scaled by a power
-of the divisor's integer lead, so every division is exact; only a
-``Fraction`` store takes the solve on ``Fraction``s.
+over Z on F, in blocks that grow by a factor 1 + 1/r for a divisor of
+rank r, each one product on the kernel (a relaxed solve; van der Hoeven,
+"Relax, but don't be too lazy", JSC 2002).  Over Q the dividend is first
+scaled by a power of the divisor's integer lead, so every division is
+exact; only a ``Fraction`` store takes the solve on ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -273,7 +273,9 @@ def with_domain(f: ArithFunc, domain: Domain) -> ArithFunc:
         return f
     if domain is Domain.Q or f._den == 1:
         return ArithFunc(domain, f._num, 1)
-    return ArithFunc(domain, [_coerce(v, domain) for v in f.values])
+    den = f._den or 1  # canonical store: F mod L, or f mod 1 without L, is nonzero somewhere
+    n = int(np.flatnonzero((f._num.astype(object) if den >> 63 else f._num) % den)[0])
+    raise NotInDomain(f"{f[n]} is not an integer (domain Z)")
 
 
 def _common(f: ArithFunc, g: ArithFunc) -> int:
@@ -396,8 +398,8 @@ def _pack(values: Sequence[int]) -> np.ndarray:
 
 
 def _peak(arr: np.ndarray) -> int:
-    """max |value| of an integer array, as an exact int."""
-    return max(int(arr.max()), -int(arr.min()))
+    """max |value| of an integer array, as an exact int; 0 when it is empty."""
+    return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -595,54 +597,66 @@ def _divide_solve(a: Sequence, b: Sequence, n: int, lead_idx: int, domain: Domai
     return tuple(g[1:]) + (zero,) * (n - solve_top), None
 
 
-def _block_solve(a: np.ndarray, b: np.ndarray, n: int):
-    """Solve b * g = a over Z for 1-indexed arrays, b of rank 1, in blocks (m, 2m].
+# A rank-r solve takes its first min(N, _HEAD r^2) indices sequentially, as
+# its first blocks hold about r indices each.  By `divide` at N = 10^5 (values
+# in -9..9, lead 1, best of 3, 4 interleaved runs on 2 cores): at r = 30 heads
+# of 8 r^2 to 32 r^2 tied and beat 4 r^2 and 64 r^2; at r = 100, 4 r^2 and
+# 8 r^2 took 0.12-0.19 s and 16 r^2 (all of N) 0.09-0.11 s; at r <= 5 all tied.
+_HEAD = 16
 
-    On (m, 2m] every divisor d >= 2 of an index leaves a cofactor at most
-    m, so one product of b without b(1) and g(1..m), at bound 2m, gives
-    a - (b - b(1) epsilon) * g on the block, and dividing by b(1) solves
-    it.  The first index whose division leaves a remainder is the witness,
-    as in :func:`_divide_solve`.  g fills one preallocated array.
+
+def _block_solve(a: np.ndarray, b: np.ndarray, n: int, r: int):
+    """Solve b * g = a over Z for 1-indexed arrays, b of rank r, in blocks.
+
+    With g known on 1..m, m = c // r, every divisor d > r of an index k <
+    (r + 1)(m + 1) leaves a cofactor k / d <= m.  So one product of b
+    without b(r) and g(1..m), from lo = c, gives the residual a - (b - b(r)
+    nu_r) * g on the whole block (c, (r + 1)(m + 1) - 1].  It must be 0 at
+    each non-multiple of r; at k = r j, dividing it by b(r) gives g(j).
+    The first index where either test fails is the witness, as in
+    :func:`_divide_solve`, which solves the first min(n, _HEAD r^2)
+    indices.  At r = 1 the blocks are (c, 2c + 1].
     """
-    lead, rest = b.item(1), b[: n + 1].copy()
-    rest[1] = 0
+    c = min(n, _HEAD * r * r)
+    q, witness = _divide_solve(a[1 : c + 1].tolist(), b[1 : c + 1].tolist(), c, r, Domain.Z)
+    if q is None:
+        return None, witness
+    q, g, m, peak = np.array(q[: c // r], object), np.zeros(n + 1, np.int64), 0, 0
+    lead, rest = b.item(r), b[: n + 1].copy()
+    rest[r] = 0  # b(1..r - 1) are 0 already
     rest, widest = _operand(rest)  # once; its max bounds every prefix
-    g, peak, m = np.zeros(n + 1, np.int64), 0, 0  # peak: max |g| so far
-    while m < n:
-        top = min(2 * m, n) or 1
-        res = a[m + 1 : top + 1]
-        if m:
-            below = _product((rest[: top + 1], widest), (g[: top + 1], peak), top, m)
-            res = _combine((res, 1), (below[m + 1 :], -1))
-        if lead in (1, -1):
-            q = _combine((res, lead))
-        else:
-            if res.dtype == object or lead >> 63 not in (0, -1):
-                res = res.astype(object)
-            q, r = res // lead, res % lead
-            wrong = np.flatnonzero(r)
-            if wrong.size:
-                return None, m + 1 + int(wrong[0])
+    while True:  # store g(m + 1..c // r), then solve the block past c
         with contextlib.suppress(OverflowError):  # g turns object only past int64
             q = q.astype(np.int64, copy=False)
-        if q.dtype == object:
-            g = g.astype(object, copy=False)
-        g[m + 1 : top + 1] = q
-        peak, m = max(peak, _peak(q)), top
-    return g, None
+        g = g.astype(np.result_type(g, q), copy=False)
+        g[m + 1 : c // r + 1] = q
+        peak, m = max(peak, _peak(q)), c // r
+        if c == n:
+            return g, None
+        top = min((r + 1) * (m + 1) - 1, n)
+        below = _product((rest[: top + 1], widest), (g[: top + 1], peak), top, c)
+        res = _combine((a[c + 1 : top + 1], 1), (below[c + 1 :], -1))
+        at = res[-(c + 1) % r :: r]  # at the multiples r (m + 1), ..., r (top // r)
+        if lead >> 63 not in (0, -1):
+            at = at.astype(object)
+        q, rem = (_combine((at, lead)), 0) if lead in (1, -1) else (at // lead, at % lead)
+        bad = res != 0 if r > 1 else np.zeros(len(res), bool)  # r = 1: only multiples
+        bad[-(c + 1) % r :: r] = rem != 0
+        if (wrong := np.flatnonzero(bad)).size:
+            return None, c + 1 + int(wrong[0])
+        c = top
 
 
 def _solve(a: ArithFunc, b: ArithFunc, lead_idx: int):
     """Solve b * g = a at the common bound; (quotient, None) or (None, witness).
 
     An operand that stores Fractions takes the Fraction solve on its values.
-    Otherwise the solve runs over Z on a = A / L_a and b = B / L_b, in
-    blocks for rank 1, else sequentially, with the same witness.  Over Q
-    with |B(r)| != 1, r = lead_idx, it divides s A by B, s = |B(r)|^K:
-    q(m) reads q(m') only for m' <= min(m - 1, rm / (r + 1)), so with K the
-    longest such chain from N / r every division by B(r) is exact, and a
-    residual at a non-multiple of r is only multiplied by s.  The quotient
-    is (L_b / (L_a s)) q, which the constructor reduces.
+    Otherwise :func:`_block_solve` runs over Z on a = A / L_a and b = B /
+    L_b.  Over Q with |B(r)| != 1, r = lead_idx, it divides s A by B, s =
+    |B(r)|^K: q(m) reads q(m') only for m' <= min(m - 1, rm / (r + 1)), so
+    with K the longest such chain from N / r every division by B(r) is
+    exact, and a residual at a non-multiple of r is only multiplied by s.
+    The quotient is (L_b / (L_a s)) q, which the constructor reduces.
     """
     n = _common(a, b)
     if a._den is None or b._den is None:
@@ -655,11 +669,7 @@ def _solve(a: ArithFunc, b: ArithFunc, lead_idx: int):
         while m:  # one factor of |B(r)| per step of the chain from N / r
             m, s = min(m - 1, lead_idx * m // (lead_idx + 1)), s * lead
         A, den = _combine((A, s)), den * s
-    if lead_idx == 1:
-        q, witness = _block_solve(A, B, n)
-    else:
-        q, witness = _divide_solve(A[1:].tolist(), B[1:].tolist(), n, lead_idx, Domain.Z)
-        q = q and _pack(q)
+    q, witness = _block_solve(A, B, n, lead_idx)
     if q is not None and b._den != 1:
         q = _combine((q, b._den))
     return (None, witness) if q is None else (ArithFunc(a.domain, q, den), None)

@@ -1,18 +1,19 @@
-"""Exact products and rank-1 solves on the int64 kernel, against the loops.
+"""Exact products and block solves on the int64 kernel, against the loops.
 
 Past the int64 gate, ``ring._product`` rebuilds a product of two dense
 operands from its residues modulo a few primes (``_convolve_crt``), and
-otherwise runs the kernel over ``object``; a rank-1 division over Z is
-solved in doubling blocks (``_block_solve``), each block one such product.
-The oracles are conftest's divisor-pair loop ``exact_convolution`` and
-the sequential solve ``_divide_solve`` (rank r > 1).  Values and
-witnesses must be identical.
+otherwise runs the kernel over ``object``; a division over Z by a divisor
+of any rank r is solved in blocks (``_block_solve``), each block one such
+product, past a short sequential head.  The oracles are conftest's
+divisor-pair loop ``exact_convolution`` and the sequential solve
+``_divide_solve``.  Values and witnesses must be identical.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -107,9 +108,10 @@ def _convolve_z(a, b, n, lo=0) -> tuple:
     return _at(ring._product(_operand(a), _operand(b), n, lo), lo)
 
 
-def _block_solve(a, b, n):
-    """ring._block_solve of the value lists a and b: (quotient values or None, witness)."""
-    q, witness = ring._block_solve(ring._pack(a), ring._pack(b), n)
+def _block_solve(a, b, n, r=1):
+    """ring._block_solve of the value lists a and b, b of rank r: (quotient
+    values or None, witness)."""
+    q, witness = ring._block_solve(ring._pack(a), ring._pack(b), n, r)
     return (None if q is None else _at(q)), witness
 
 
@@ -357,15 +359,14 @@ def test_object_kernel_takes_the_sparse_operand_cut(kernel_inputs, lo):
 
 def test_associates_quotient_enters_the_kernel_cut(kernel_inputs):
     """are_associates(h, -h) solves in blocks whose products have the
-    quotient -epsilon as a: past the first product (bound 2, a tie of one
-    nonzero value each), every kernel call gets a = [0, -1]."""
+    quotient -epsilon as a: past the sequential head 1..16, each block
+    (c, 2c + 1] is one kernel call from lo = c with a = [0, -1]."""
     h = _h()
     assert h._num.dtype == object
     kernel_inputs.clear()
     assert are_associates(h, scale(h, -1))
-    blocks = [(a, b) for a, b, lo in kernel_inputs if lo > 1]
-    assert len(blocks) == math.ceil(math.log2(h.bound)) - 1
-    assert all(a.tolist() == [0, -1] and b.dtype == object for a, b in blocks)
+    assert [lo for *_, lo in kernel_inputs] == _edges(h.bound, 1)[:-1]
+    assert all(a.tolist() == [0, -1] and b.dtype == object for a, b, _ in kernel_inputs)
 
 
 def test_sparse_operand_goes_outside(kernel_inputs):
@@ -394,12 +395,25 @@ def test_int64_operands_past_the_gate_do_not_wrap():
 
 
 # ---------------------------------------------------------------------------
-# rank-1 solves in doubling blocks
+# block solves: rank 1, then every rank
 # ---------------------------------------------------------------------------
 
 
 def _oracle(a, b, n, lead_idx=1):
     return ring._divide_solve(a, b, n, lead_idx, Z)
+
+
+def _edges(n: int, r: int) -> list:
+    """The ends of the head and of each block of a rank-r solve at bound n:
+    min(n, _HEAD r^2), then (r + 1)(c // r + 1) - 1 past each end c, up to n."""
+    ends = [min(n, ring._HEAD * r * r)]
+    while ends[-1] < n:
+        ends.append(min((r + 1) * (ends[-1] // r + 1) - 1, n))
+    return ends
+
+
+# the rank-1 edges c and c + 1 up to 2**10: 16 (the head), then c = 2c + 1
+RANK_ONE_EDGES = sorted({v for c in _edges(1 << 10, 1) for v in (c, c + 1)})
 
 
 @st.composite
@@ -413,7 +427,8 @@ def rank_one_divisions(draw, max_n: int = 80, max_bits: int = 70):
     b = [lead] + draw(st.lists(values, min_size=n - 1, max_size=n - 1))
     q = draw(st.lists(values, min_size=n, max_size=n))
     a = list(exact_convolution(b, q, n, 0))
-    edges = sorted({1, 2, 3, n} | {v for j in range(7) for v in (1 << j, (1 << j) + 1)})
+    edges = sorted({1, 2, 3, n, *RANK_ONE_EDGES}
+                   | {v for j in range(7) for v in (1 << j, (1 << j) + 1)})
     at = draw(st.sampled_from([e for e in edges if e <= n]))
     if draw(st.booleans()):
         a[at - 1] += draw(st.sampled_from((1, -1, lead)))
@@ -434,7 +449,8 @@ def test_witness_at_every_block_edge(lead, n):
     q = [(m * 104729 % 999983) << 35 for m in range(1, n + 1)]
     exact = list(exact_convolution(b, q, n, 0))
     assert _block_solve(exact, b, n) == (tuple(q), None)
-    for at in sorted({1, 2, 3, n} | {v for j in range(8) for v in (1 << j, (1 << j) + 1)}):
+    for at in sorted({1, 2, 3, n, *RANK_ONE_EDGES}
+                     | {v for j in range(8) for v in (1 << j, (1 << j) + 1)}):
         if at > n:
             continue
         a = list(exact)
@@ -468,7 +484,8 @@ def test_blocks_of_a_divisor_past_int64(kernel_inputs, monkeypatch):
 
 
 def test_block_solve_packs_its_divisor_once(monkeypatch):
-    """One operand of b without b(1) per solve, one product per block, and no pack."""
+    """One operand of b without b(1) per solve, one product per block past the
+    head, from lo = c at bound 2c + 1, and no pack."""
     n = 200
     b = [1] + [m % 7 - 3 for m in range(1, n)]
     q = [m % 5 - 2 for m in range(n)]
@@ -477,12 +494,12 @@ def test_block_solve_packs_its_divisor_once(monkeypatch):
     packs = _spy(monkeypatch, "_pack")
     operands = _spy(monkeypatch, "_operand")
     products = _spy(monkeypatch, "_product")
-    got, witness = ring._block_solve(a, b_store, n)
+    got, witness = ring._block_solve(a, b_store, n, 1)
     assert (_at(got), witness) == (tuple(q), None)
     assert packs == []
     assert len(operands) == 1 and _at(operands[0][0]) == (0, *b[1:])
-    # blocks (1, 2], (2, 4], ..., (128, 200], each one product; (0, 1] needs none
-    assert len(products) == math.ceil(math.log2(n))
+    # past the head 1..16, blocks (16, 33], (33, 67], (67, 135], (135, 200]
+    assert [(top, lo) for *_, top, lo in products] == [(33, 16), (67, 33), (135, 67), (200, 135)]
 
 
 def test_block_quotient_stays_int64_while_it_fits(monkeypatch):
@@ -494,7 +511,7 @@ def test_block_quotient_stays_int64_while_it_fits(monkeypatch):
     a = ring._pack(list(exact_convolution(b, q, n, 0)))
     assert a.dtype == object
     products = _spy(monkeypatch, "_product")
-    got, witness = ring._block_solve(a, ring._pack(b), n)
+    got, witness = ring._block_solve(a, ring._pack(b), n, 1)
     assert (_at(got), witness) == (tuple(q), None) and got.dtype == np.int64
     assert products and all(g.dtype == np.int64 for _, (g, _), *_ in products)
 
@@ -518,15 +535,112 @@ def test_divide_and_inverse_match_the_oracle(wide, num, den):
         assert inv.values == _oracle((1,) + (0,) * (den.bound - 1), den.values, den.bound)[0]
 
 
-def test_rank_above_one_keeps_the_sequential_solve(monkeypatch):
+def test_every_rank_takes_the_block_solve(monkeypatch):
+    """A divisor of rank r > 1 takes the block solve, which runs the
+    sequential solve on its head 1..min(N, 16 r^2) alone."""
+    cases = []
+    for r, n in ((2, 8), (2, 200), (3, 500)):
+        den = make([0] * (r - 1) + [3] + [m % 5 - 2 for m in range(r, n)], Z)
+        num = convolve(den, make([m % 7 - 3 for m in range(n)], Z))
+        cases.append((r, n, den, num, _oracle(num.values, den.values, n, r)[0]))
     blocks = _spy(monkeypatch, "_block_solve")
     solves = _spy(monkeypatch, "_divide_solve")
-    den = make([0, 3, 1, -2, 5, 0, 1, 1], Z)
-    num = convolve(den, make([1, 2, 3, 4, 5, 6, 7, 8], Z))
-    assert divide(num, den).witness is None
-    assert blocks == [] and [args[-1] for args in solves] == [Z]
-    divide(make([1, 2, 3, 4, 5, 6, 7, 8], Z), make([-2, 1, 0, 1, 1, 1, 1, 1], Z))
-    assert len(blocks) == 1 and len(solves) == 1
+    products = _spy(monkeypatch, "_product")
+    for r, n, den, num, want in cases:
+        got = divide(num, den)
+        assert got.witness is None and got.quotient.values == want
+        assert [args[2:] for args in blocks] == [(n, r)]
+        assert [args[2:] for args in solves] == [(min(n, ring._HEAD * r * r), r, Z)]
+        ends = _edges(n, r)
+        assert [(top, lo) for *_, top, lo in products] == list(zip(ends[1:], ends))
+        for seen in (blocks, solves, products):
+            seen.clear()
+    assert _edges(200, 2) == [64, 98, 149, 200]
+
+
+@st.composite
+def rank_r_divisions(draw):
+    """(a, b, n, r) with b of rank r: a = b * q, perhaps off at a chosen index.
+
+    n is r, r + 1, 2r + 1, the head's end 16 r^2 or one past it, or up to
+    1000.  Lists this long come from a drawn seed; past n = 2000, b and q
+    are sparse, so that the oracles stay fast."""
+    r = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 30, 100)))
+    head = ring._HEAD * r * r
+    n = draw(st.sampled_from((r, r + 1, 2 * r + 1, head, head + 1)) | st.integers(r, max(r, 1000)))
+    lead = draw(st.sampled_from((1, -1, 2, -3, 5, 1 << 40)))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    top, density = 1 << draw(st.sampled_from((3, 30, 70))), 1 if n <= 2000 else 0.02
+
+    def value():
+        return rng.randint(-top, top) if rng.random() < density else 0
+
+    b = [0] * (r - 1) + [lead] + [value() for _ in range(r, n)]
+    q = [value() for _ in range(n // r)] + [0] * (n - n // r)
+    a = list(exact_convolution(b, q, n, 0))
+    ends = _edges(n, r)
+    points = {1, r, r + 1, n, *ends, *(c + 1 for c in ends), rng.randint(1, n)}
+    if draw(st.booleans()):
+        a[draw(st.sampled_from(sorted(p for p in points if p <= n))) - 1] += draw(
+            st.sampled_from((1, -1, lead)))
+    return a, b, n, r
+
+
+@given(rank_r_divisions())
+@settings(max_examples=150, deadline=None)
+def test_block_solve_matches_the_sequential_solve_at_every_rank(case):
+    a, b, n, r = case
+    assert _block_solve(a, b, n, r) == _oracle(a, b, n, r)
+
+
+def _rank_r_case(r: int, n: int, lead: int):
+    """(a, b, q) of a dense exact rank-r division at bound n."""
+    b = [0] * (r - 1) + [lead] + [(-1) ** m * (m * 7919 % 1009) for m in range(r, n)]
+    q = [m * 104729 % 1013 - 506 for m in range(1, n // r + 1)] + [0] * (n - n // r)
+    return list(exact_convolution(b, q, n, 0)), b, q
+
+
+@pytest.mark.parametrize("lead", [1, -3, 1 << 40])
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_rank_r_witnesses(r, lead):
+    """Witnesses at a non-multiple of r inside a block, a remainder at a
+    multiple, both edges of the head, each block's edges and the last,
+    multiple-free tail block (r m <= N < r (m + 1))."""
+    head = ring._HEAD * r * r
+    # the least n past two blocks whose last block holds no multiple of r
+    n = next(n for n in range(head + 1, 20 * head)
+             if len(_edges(n, r)) > 3 and n < r * (_edges(n, r)[-2] // r + 1))
+    ends = _edges(n, r)
+    a, b, q = _rank_r_case(r, n, lead)
+    assert _block_solve(a, b, n, r) == (tuple(q), None)
+    assert n < r * (ends[-2] // r + 1)  # no multiple of r in (ends[-2], n]
+    # both edges of the head and of each block, and r + 1 indices inside one
+    points = {head, head + 1, n, *ends, *(c + 1 for c in ends[:-1])}
+    points |= set(range(ends[1] + 2, ends[1] + r + 3))
+    for at in sorted(points):
+        bad = list(a)
+        bad[at - 1] += 1
+        want = _oracle(bad, b, n, r)
+        assert _block_solve(bad, b, n, r) == want
+        if at % r or lead != 1:  # a residual, or a remainder at a multiple
+            assert want == (None, at)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_first_failure_in_a_block_is_the_witness(r):
+    """In the first block past the head, a remainder at a multiple of r
+    before a nonzero residual at a non-multiple is the witness, and so is a
+    residual before a remainder."""
+    n = 40 * r * r
+    head, end = _edges(n, r)[:2]
+    a, b, _ = _rank_r_case(r, n, -3)
+    k = r * (head // r + 1)  # the block's first multiple; k + r is in it too
+    assert head < k and k + r <= end
+    for first, second in ((k, k + 1), (k + r - 1, k + r)):
+        bad = list(a)
+        bad[first - 1] += 1
+        bad[second - 1] += 1
+        assert _block_solve(bad, b, n, r) == (None, first) == _oracle(bad, b, n, r)
 
 
 def test_q_solves_run_in_blocks_over_z(monkeypatch):

@@ -126,6 +126,11 @@ class TestReducibleWitness:
         with pytest.raises(ValueError):
             witness_reducible(nu(6, 12, Z), nu(2, 12, Z), nu(5, 12, Z))
 
+    def test_rejects_a_product_shorter_than_the_target(self):
+        """A product is known at the factors' common bound only."""
+        with pytest.raises(ValueError, match="cover the target's bound"):
+            witness_reducible(nu(4, 12, Z), nu(2, 6, Z), nu(2, 12, Z))
+
     def test_rejects_zero_factor(self):
         with pytest.raises(ValueError):
             witness_reducible(omega(8, Z), omega(8, Z), two_eps(8))

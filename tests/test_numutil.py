@@ -41,6 +41,13 @@ def test_smallest_prime_factor():
         numutil.smallest_prime_factor(1)
 
 
+def test_prime_factors_needs_a_positive_n():
+    assert numutil.prime_factors(1) == []
+    for n in (0, -12):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            numutil.prime_factors(n)
+
+
 def test_smallest_prime_factor_of_a_prime_builds_no_sieve(no_large_sieve):
     p = 70368744177643  # the largest prime below 2^46
     assert numutil.smallest_prime_factor(p) == p

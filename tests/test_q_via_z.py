@@ -166,17 +166,17 @@ def test_divide_matches_fraction_solve(wide, data):
 def test_every_lead_takes_the_z_solves(monkeypatch):
     """+-1/L leads and leads such as 2/3, 3 or -5/2 all take the Z solves.
 
-    The rank-1 inverse is solved in blocks and the rank-2 division
-    sequentially.
+    The rank-1 inverse and the rank-2 division both take the block solve,
+    and at bound 5 its sequential head over Z covers every index.
     """
     route = _route_of(monkeypatch, "_divide_solve")
-    blocks = _route_of(monkeypatch, "_block_solve")  # records the bound
+    blocks = _route_of(monkeypatch, "_block_solve")  # records the rank
     rest = [Fraction(1, 2), Fraction(-3, 5), Fraction(0), Fraction(4, 7)]
     for lead in (Fraction(1, 70), Fraction(-1, 140), Fraction(2, 3), Fraction(3), Fraction(-5, 2)):
         f = make([lead] + rest, Q)
         inverse(f)
         divide(make([0] + rest, Q), make([0, lead] + rest, Q))
-        assert (blocks, route) == ([5], [Z])
+        assert (blocks, route) == ([1, 2], [Z, Z])
         route.clear()
         blocks.clear()
 
@@ -235,12 +235,12 @@ def test_inverse_along_the_longest_chain(wide, n, head, value):
 
 @stores
 @pytest.mark.parametrize("n", (1023, 1024, 1025))
-@pytest.mark.parametrize("lead", (2, -3, 7))
+@pytest.mark.parametrize("lead", (2, -3, 7, Fraction(2, 3)))
 @pytest.mark.parametrize("r", (2, 3))
 def test_higher_rank_leads_match_fraction_solve(wide, n, lead, r):
-    """Rank 2 and 3 divisors with leads 2, -3 and 7, divided exactly and
-    with a witness planted at a non-multiple of r, give the Fraction solve's
-    quotient and witness."""
+    """Rank 2 and 3 divisors with leads 2, -3, 7 and 2/3, divided exactly
+    and with a witness planted at a non-multiple of r, give the Fraction
+    solve's quotient and witness; past n = 16 r^2 they run in blocks."""
     dens = (1, 2, 3, 5, 7)
     den = make([0] * (r - 1) + [lead] + [Fraction(k % 5 - 2, dens[k % 5]) for k in range(n - r)], Q)
     den = _store(den, wide)

@@ -510,3 +510,23 @@ class TestMonic:
     def test_monic_needs_nonzero(self):
         with pytest.raises(NoVisibleRank):
             monic(omega(3, Q))
+
+
+class TestOperators:
+    """Each operator is the ring function it stands for."""
+
+    def test_operators_match_the_functions(self):
+        f, g = make([1, -2, 3, 0, 5], Z), make([2, 1, 0, -1], Z)
+        assert f - g == add(f, scale(g, -1)) == make([-1, -3, 3, 1], Z)
+        assert -f == scale(f, -1) == make([-1, 2, -3, 0, -5], Z)
+        assert f * g == convolve(f, g) == make([2, -3, 6, -3], Z)
+        assert f * 3 == 3 * f == scale(f, 3) == make([3, -6, 9, 0, 15], Z)
+        assert Fraction(1, 2) * make([2, 1], Q) == make([1, Fraction(1, 2)], Q)
+        assert list(f) == [1, -2, 3, 0, 5]
+        assert list(make([Fraction(1, 2)], Q)) == [Fraction(1, 2)]
+
+    def test_repr_shows_at_most_eight_values(self):
+        assert repr(make([1, -2], Z)) == "ArithFunc(Z, N=2, [1, -2])"
+        eight = make([Fraction(1, k) for k in range(1, 9)], Q)
+        assert repr(eight) == "ArithFunc(Q, N=8, [1, 1/2, 1/3, 1/4, 1/5, 1/6, 1/7, 1/8])"
+        assert repr(omega(9, Q)) == "ArithFunc(Q, N=9, [0, 0, 0, 0, 0, 0, 0, 0, ...])"

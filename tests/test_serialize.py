@@ -84,8 +84,16 @@ def test_csv_errors_carry_line_numbers():
         from_csv("1,1\n2,2\n2,9\n", Q)
     with pytest.raises(ParseError, match="missing 2"):
         from_csv("1,1\n3,3\n", Q)
+    with pytest.raises(ParseError, match="^line 2: bad index '1.5'$"):
+        from_csv("1,1\n1.5,2\n", Q)
     with pytest.raises(ParseError):
         from_csv("", Q)
+
+
+def test_dump_path_rejects_an_unsupported_format(tmp_path):
+    with pytest.raises(ValueError, match="unsupported function format 'xml'"):
+        dump_path(make([1, 2], Z), tmp_path / "f.json", "xml")
+    assert not (tmp_path / "f.json").exists()
 
 
 def test_csv_rejects_out_of_domain_value():

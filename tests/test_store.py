@@ -121,6 +121,40 @@ def test_z_to_q_is_a_retag():
         with_domain(_wide(), Z)
 
 
+@pytest.mark.parametrize("values, first", [
+    ([2, 4, Fraction(-3, 2), Fraction(1, 3)], "-3/2"),  # L = 6: F = (12, 24, -9, 2)
+    ([3, 0, Fraction(5, 1 << 63)], "5/9223372036854775808"),  # L past int64
+    ([1] + [Fraction(k, WIDE[k % len(WIDE)]) for k in range(1, 8)], "1/1000033"),  # no L
+])
+def test_q_to_z_names_the_first_non_integer(values, first):
+    """Q to Z raises at the first n with F(n) mod L != 0, or at the first
+    non-integer of a Fraction store, without building the values."""
+    f = make(values, Q)
+    assert (f._den is None) == (len(values) == 8)
+    with pytest.raises(NotInDomain, match=f"^{first} is not an integer \\(domain Z\\)$"):
+        with_domain(f, Z)
+    assert "values" not in vars(f)
+
+
+def test_fraction_store_add_scale_restrict():
+    """f(n) = 1/n stores Fractions: add, scale and restrict on it against
+    loops over the values.  Restricted to 20, its L = lcm(1..20) is scaled."""
+    n = 60
+    f = make([Fraction(1, k) for k in range(1, n + 1)], Q)
+    g = make([Fraction(k % 5 - 2, 3) for k in range(n - 10)], Q)
+    assert f._den is None and g._den == 3
+    want = tuple(x + y for x, y in zip(f.values, g.values))
+    assert add(f, g).values == add(g, f).values == want
+    assert add(f, f).values == tuple(2 * v for v in f.values)
+    c = Fraction(-3, 7)
+    assert scale(f, c).values == tuple(c * v for v in f.values)
+    assert scale(f, c)._den is None and scale(f, 0) == make([0] * n, Q)
+    for m, scaled in ((20, True), (50, False), (n, False)):
+        assert restrict(f, m).values == f.values[:m]
+        assert (restrict(f, m)._den is not None) == scaled
+    assert restrict(f, n) is f
+
+
 def test_arith_func_is_frozen():
     f = make(VALUES, Q)
     for name in ("values", "domain", "_num", "_den"):
