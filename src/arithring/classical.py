@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .ring import ArithFunc, Domain, convolve, epsilon, make, with_domain
+from .ring import ArithFunc, Domain, convolve, epsilon, with_domain
 
 _PARAM_NAME = re.compile(r"^(id|sigma)_(\d+)$")
 
@@ -90,9 +90,8 @@ def _dispatch(name: str, n: int) -> ArithFunc:
 
 
 def _id_pow(n: int, k: int) -> ArithFunc:
-    if n**k < kernels.I64_SAFE:
-        return ArithFunc(Domain.Z, np.arange(n + 1, dtype=np.int64) ** k, 1)
-    return make([i**k for i in range(1, n + 1)], Domain.Z)
+    dtype = np.int64 if n**k < kernels.I64_SAFE else object
+    return ArithFunc(Domain.Z, np.arange(n + 1, dtype=dtype) ** k, 1)
 
 
 def _sieve(n: int, kernel: str, rule, *args, fits_i64: bool = True) -> ArithFunc:

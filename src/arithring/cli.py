@@ -127,12 +127,11 @@ def _cmd_div(args):
 
 def _cmd_rank(args):
     from .ring import rank
-    from .serialize import coefficient_to_str
 
     r = rank(_resolve(args.fn, args.bound, args.domain))
     if not r.visible:
         return {"visible": False}, ["not visible at bound"], 0
-    leading = coefficient_to_str(r.leading)
+    leading = str(r.leading)
     obj = {"visible": True, "index": r.index, "leading": leading}
     return obj, [f"rank {r.index}, leading {leading}"], 0
 

@@ -1,7 +1,8 @@
 """Finite divisor posets: Hasse diagrams, chain covers, lattice checks.
 
 The poset of interest is the set of all divisors of a positive integer a,
-ordered by divisibility, with 1 as null element and a as universal element.
+ordered by divisibility, with 1 as null element and a as universal element:
+x is an element exactly when it is a positive integer that divides a.
 Meet and join are gcd and lcm.  Writing a = p_1^e_1 ... p_k^e_k, the poset
 is the product of chains [0, e_1] x ... x [0, e_k], and every verdict is
 read off the exponents: the lattice is always distributive, and it is
@@ -21,7 +22,9 @@ of the given pairs otherwise.
 
 from __future__ import annotations
 
+import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -41,8 +44,10 @@ DEFAULT_ROOT_LIMIT = 10**18
 class DivisorPoset:
     """All divisors of `root`, ordered by divisibility.
 
-    The Hasse diagram is not stored: `hasse_edges` builds it on first read,
-    which only `to_dot` does.
+    Membership is divisibility: x is an element exactly when it is a
+    positive integer dividing `root`, and its index is its place in the
+    ascending `elements`.  The Hasse diagram is not stored: `hasse_edges`
+    builds it on first read, which only `to_dot` does.
     """
 
     root: int
@@ -60,18 +65,13 @@ class DivisorPoset:
             [(x, x * p) for x in self.elements for q in [a // x] for p in atoms if q % p == 0]
         )
 
-    @cached_property
-    def _position(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.elements)}
-
     def __contains__(self, x: int) -> bool:
-        return x in self._position
+        return isinstance(x, numbers.Integral) and x > 0 and self.root % int(x) == 0
 
     def index(self, x: int) -> int:
-        try:
-            return self._position[x]
-        except KeyError:
-            raise ValueError(f"{x} is not a divisor of {self.root}") from None
+        if x not in self:
+            raise ValueError(f"{x} is not a divisor of {self.root}")
+        return bisect.bisect_left(self.elements, x)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -412,16 +412,6 @@ def _operand(arr: np.ndarray):
     return arr, _peak(arr)
 
 
-def _try_convolve_i64(pa, pb, n: int, lo: int = 0) -> Optional[np.ndarray]:
-    """The int64 kernel's product of two operands, zero on 0..lo; None when the
-    gate fails."""
-    (arr_a, max_a), (arr_b, max_b) = pa, pb
-    # the gate alone would pass an object operand beside an all-zero one, at max 0
-    if object in (arr_a.dtype, arr_b.dtype) or not kernels.convolution_fits_i64(max_a, max_b, n):
-        return None
-    return kernels.convolve_i64(arr_a, arr_b, lo)
-
-
 # The CRT route takes at most this many primes.  Measured at N = 80 000 on
 # dense operands of equal width, each route best of 5-7, interleaved, on
 # 2 cores: the CRT's time over the object kernel's had median 0.91 at 8
@@ -532,16 +522,19 @@ def _product(pa, pb, n: int, lo: int = 0) -> np.ndarray:
     row passes, and its zero tail every column pass.  The cast keeps int64
     operands past the gate out of the int64 accumulator.
     """
-    if (fast := _try_convolve_i64(pa, pb, n, lo)) is not None:
-        return fast
-    sparse, dense = sorted((pa[0], pb[0]), key=np.count_nonzero)
-    if np.count_nonzero(sparse) > 2 * math.isqrt(n):
-        bound = pa[1] * pb[1] * 2 * math.isqrt(n)
+    (arr_a, max_a), (arr_b, max_b) = pa, pb
+    # the gate alone would pass an object operand beside an all-zero one, at max 0
+    if object not in (arr_a.dtype, arr_b.dtype) and kernels.convolution_fits_i64(max_a, max_b, n):
+        return kernels.convolve_i64(arr_a, arr_b, lo)
+    nz_a, nz_b = np.flatnonzero(arr_a), np.flatnonzero(arr_b)
+    if nz_b.size < nz_a.size:
+        arr_a, nz_a, arr_b = arr_b, nz_b, arr_a
+    if nz_a.size > 2 * math.isqrt(n):
+        bound = max_a * max_b * 2 * math.isqrt(n)
         if (primes := _crt_primes(n, bound)) is not None:
             return _convolve_crt(pa, pb, n, bound, primes, lo)
-    nonzero = np.flatnonzero(sparse)
-    end = int(nonzero[-1]) + 1 if nonzero.size else 1
-    return kernels.convolve_i64(sparse[:end].astype(object), dense, lo)
+    end = int(nz_a[-1]) + 1 if nz_a.size else 1
+    return kernels.convolve_i64(arr_a[:end].astype(object), arr_b, lo)
 
 
 def convolve(f: ArithFunc, g: ArithFunc) -> ArithFunc:

@@ -21,29 +21,19 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
 from .core import Domain, ParseError
-from .ring import ArithFunc, Coefficient, make
-
-
-def coefficient_to_str(v: Coefficient) -> str:
-    if isinstance(v, Fraction):
-        if v.denominator != 1:
-            return f"{v.numerator}/{v.denominator}"
-        return str(v.numerator)
-    return str(v)
+from .ring import ArithFunc, make
 
 
 def coefficient_strings(f: ArithFunc) -> list[str]:
-    """coefficient_to_str of f(1), ..., f(N), formatted from the store F / L:
-    F(n) when L = 1, else F(n) / L reduced by one gcd, with no Fraction built."""
+    """str of f(1), ..., f(N), "p" or "p/q" in lowest terms, formatted from
+    the store F / L: F(n) when L = 1 or F holds the Fractions, else F(n) / L
+    reduced by one gcd, with no Fraction built."""
     ints, den = f._num[1:].tolist(), f._den
-    if den is None:  # the Fraction store
-        return [coefficient_to_str(v) for v in ints]
-    if den == 1:
+    if den in (None, 1):
         return list(map(str, ints))
     out = []
     for v in ints:
@@ -118,6 +108,8 @@ def loads(text: str) -> ArithFunc:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     return from_json_obj(obj)
 
 

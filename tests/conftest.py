@@ -438,5 +438,19 @@ def no_large_sieve(monkeypatch):
 
 
 @pytest.fixture
+def kernel_inputs(monkeypatch):
+    """The operands and lo of each call to the kernel."""
+    calls = []
+    kernel = kernels.convolve_i64
+
+    def recording(a, b, lo=0):
+        calls.append((a, b, lo))
+        return kernel(a, b, lo)
+
+    monkeypatch.setattr(kernels, "convolve_i64", recording)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return random.Random(0xA51C)

@@ -137,10 +137,11 @@ class TestOverflowGateEdges:
         assert f.values == tuple(naive_sigma(m, k) for m in range(1, n + 1))
         assert calls == ([(n, k)] if i64 else [])
 
-    @pytest.mark.parametrize("n, k", [(2, 61), (8, 20), (2, 62), (8, 21)])
+    @pytest.mark.parametrize("n, k", [(2, 61), (8, 20), (2, 62), (8, 21), (2, 63), (60, 25)])
     def test_id(self, n, k):
         f = build(f"id_{k}", n, Z)
         assert f.values == tuple(m**k for m in range(1, n + 1))
+        assert f == make([m**k for m in range(1, n + 1)], Z)  # the same store and dtype
 
 
 class TestSympyAgreement:

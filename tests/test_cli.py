@@ -108,6 +108,12 @@ class TestFunctionCommands:
         assert code == 1
         assert json.loads(out) == {"divisible": False, "witness": 3}
 
+    def test_rank_of_a_fraction(self, capsys, tmp_path):
+        half = tmp_path / "half.json"
+        half.write_text('{"domain": "Q", "values": ["0", "1/2", "-3"]}')
+        code, out, _ = run(capsys, "rank", str(half))
+        assert code == 0 and out == "rank 2, leading 1/2\n"
+
     def test_rank_and_unit(self, capsys):
         code, out, _ = run(capsys, "rank", "nu_6", "--bound", "10")
         assert code == 0 and out == "rank 6, leading 1\n"
@@ -276,6 +282,21 @@ class TestErrors:
         code, _, err = run(capsys, "fn-eval", str(bad))
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("values", [False, True])
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path, values):
+        deep = tmp_path / "deep.json"
+        text = "[" * 100_000 + "]" * 100_000
+        deep.write_text('{"domain": "Q", "values": %s}' % text if values else text)
+        code, out, err = run(capsys, "fn-eval", str(deep))
+        assert code == 2 and out == ""
+        assert err == "error: JSON nested too deeply\n"
+
+    def test_id_k_past_the_array_size_limit_is_usage_error(self, capsys):
+        # about 10^29 values: numpy refuses the array at once
+        code, out, err = run(capsys, "fn-build", "id_2", "--bound", str(10**29))
+        assert code == 2 and out == ""
+        assert err == "error: Maximum allowed size exceeded\n"
 
     def test_long_coefficient_is_quoted_short(self, capsys, tmp_path):
         # 5000 digits pass Python's int string limit (4300 by default)

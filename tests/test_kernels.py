@@ -198,24 +198,32 @@ def test_overflow_gate_boundary(max_a, max_b, n, bound):
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 8, 12, 24])
-def test_convolve_just_inside_gate_with_negative_extremes(n):
+def test_convolve_just_inside_gate_with_negative_extremes(n, kernel_inputs):
     # tau(n) = 2 * isqrt(n) for exactly these n, so out[n] reaches the
     # full bound -max_a * max_b * 2 * isqrt(n) just below -2**62.
     max_a = (kernels.I64_SAFE - 1) // (2 * math.isqrt(n))
     f = make([-max_a] * n, Domain.Z)
     g = make([1] * n, Domain.Z)
-    assert ring._try_convolve_i64(ring._operand(f._num), ring._operand(g._num), n) is not None
     got = convolve(f, g)
+    # one call of the int64 kernel, on the int64 operands as stored
+    [(a, b, _)] = kernel_inputs
+    assert a.dtype == b.dtype == np.int64
+    assert np.array_equal(a, f._num) and np.array_equal(b, g._num)
     assert got.values == exact_convolution(f.values, g.values, n, 0)
     assert got[n] == -max_a * 2 * math.isqrt(n) > -(1 << 62)
 
 
 @pytest.mark.parametrize("extreme", [-(1 << 63), 1 << 63])
-def test_out_of_gate_values_fall_back_to_exact(extreme):
+def test_out_of_gate_values_fall_back_to_exact(extreme, kernel_inputs):
     f = make([extreme, 1, -1, 0, 5, 7], Domain.Z)
     g = make([2, 3, 0, -4, 1, 1], Domain.Z)
-    assert ring._try_convolve_i64(ring._operand(f._num), ring._operand(g._num), 6) is None
     got = convolve(f, g)
+    # past the gate and both dense: one int64 kernel call per CRT prime, on residues
+    primes = ring._crt_primes(6, (1 << 63) * 4 * 2 * math.isqrt(6))
+    assert len(kernel_inputs) == len(primes)
+    for (a, b, _), p in zip(kernel_inputs, primes):
+        assert a.dtype == b.dtype == np.int64 and 0 <= min(a.min(), b.min())
+        assert max(a.max(), b.max()) < p
     assert got.values == exact_convolution(f.values, g.values, 6, 0)
     assert got[1] == 2 * extreme
 

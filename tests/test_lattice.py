@@ -6,6 +6,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,6 +82,18 @@ class TestCoIdeal:
         assert 6 in poset and 5 not in poset
         with pytest.raises(ValueError):
             poset.index(5)
+
+    @pytest.mark.parametrize("root", [735134400, 897612484786617600])
+    def test_membership_is_divisibility(self, root):
+        poset = co_ideal(root)
+        assert [poset.index(x) for x in poset.elements] == list(range(len(poset)))
+        for x in (np.int64(12), True, 1, root):
+            assert x in poset and poset.elements[poset.index(x)] == x
+        non_divisor = next(x for x in range(2, root) if root % x)
+        for x in (0, -6, non_divisor, "6", 6.0, None):
+            assert x not in poset
+            with pytest.raises(ValueError, match="is not a divisor of"):
+                poset.index(x)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from arithring import Domain, make
 from arithring.cli import _render
 from arithring.serialize import (
     ParseError,
-    coefficient_to_str,
+    coefficient_strings,
     dump_path,
     dumps,
     from_csv,
@@ -31,10 +31,21 @@ Q, Z = Domain.Q, Domain.Z
 
 
 def test_coefficient_strings():
-    assert coefficient_to_str(Fraction(3, 2)) == "3/2"
-    assert coefficient_to_str(Fraction(-3)) == "-3"
-    assert coefficient_to_str(7) == "7"
-    assert coefficient_to_str(Fraction(4, 2)) == "2"
+    """str of each value, on the int64, object, L > 1 and Fraction stores."""
+    f = make([Fraction(3, 2), Fraction(-3), 7, Fraction(4, 2)], Q)
+    assert coefficient_strings(f) == ["3/2", "-3", "7", "2"]
+    stores = [make([3, -1, 0, 7], Z), *_stores().values()]
+    assert [(g._num.dtype, g._den) for g in stores[:2]] == [(np.int64, 1), (object, 1)]
+    assert [g._den for g in stores] == [1, 1, 1, 6, None]
+    for g in stores:
+        assert coefficient_strings(g) == [str(v) for v in g.values]
+
+
+def test_deep_json_is_a_parse_error():
+    deep = "[" * 100_000 + "]" * 100_000
+    for text in (deep, '{"domain": "Q", "values": %s}' % deep):
+        with pytest.raises(ParseError, match="^JSON nested too deeply$"):
+            loads(text)
 
 
 def test_json_shape():
@@ -172,7 +183,7 @@ def test_output_from_the_store_matches_fraction_formatting(name, tmp_path, capsy
 
     f = _stores()[name]
     assert (f._den is None) == (name == "wide") and (f._den == 6) == (name == "L=6")
-    want = [coefficient_to_str(v) for v in f.values]
+    want = [str(v) for v in f.values]
     assert want[:3] != ["0", "0", "0"]
     assert to_json_obj(f)["values"] == want
     csv = "".join(f"{i},{s}\n" for i, s in enumerate(want, 1))

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arithring import (
     ArithFunc,
@@ -39,7 +41,7 @@ from arithring import ring
 from arithring.classical import _first_mismatch
 from arithring.ring import NotInDomain, with_domain
 
-from conftest import exact_convolution
+from conftest import exact_convolution, widened
 
 Q, Z = Domain.Q, Domain.Z
 
@@ -383,3 +385,82 @@ def test_int64_routes_neither_pack_nor_unpack(monkeypatch):
     assert packs == [] and fromiter == suite_fromiter == 0
     assert max(unpacked + suite_unpacked) <= math.isqrt(n)
     assert product.values == exact_convolution(f.values, g.values, n, 0)
+
+
+# ---------------------------------------------------------------------------
+# every public operation on every store
+# ---------------------------------------------------------------------------
+
+# Z has two stores; Q adds an L > 1 and the Fractions of an L past
+# _MAX_SCALE_BITS (2**64 + 1 has 65 bits)
+STORES = {Z: ("int64", "object"), Q: ("int64", "object", "L>1", "Fraction")}
+SCALE = {"int64": 1, "object": 1, "L>1": Fraction(1, 6), "Fraction": Fraction(1, (1 << 64) + 1)}
+
+
+def _store(f: ArithFunc) -> str:
+    if f._den is None:
+        return "Fraction"
+    if f._den != 1:
+        return "L>1"
+    return "object" if f._num.dtype == object else "int64"
+
+
+@st.composite
+def _stored(draw, domain: Domain, n: int, unit: bool = False) -> ArithFunc:
+    """A function at bound n in a drawn store: values in -9..9, widened past
+    int64 (object) or scaled by 1/6 (L > 1) or by 1/(2**64 + 1) (Fraction);
+    a unit has lead +-1 over Z and a nonzero lead over Q."""
+    store = draw(st.sampled_from(STORES[domain]))
+    values = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    if unit:
+        values[0] = draw(st.sampled_from((1, -1) if domain is Z else (1, -1, 2, -3)))
+    if store == "object":
+        values = widened(values)
+    f = make([v * SCALE[store] for v in values], domain)
+    assume(_store(f) == store)
+    return f
+
+
+@st.composite
+def _triples(draw, unit: bool = False):
+    """(f, g, h), f a unit when asked, at one bound n <= 40 in one domain."""
+    domain = draw(st.sampled_from((Z, Q)))
+    n = draw(st.integers(2, 40))
+    return draw(_stored(domain, n, unit)), draw(_stored(domain, n)), draw(_stored(domain, n))
+
+
+LAWS = settings(max_examples=50)
+
+
+@given(_triples())
+@LAWS
+def test_ring_laws_on_every_store(fgh):
+    f, g, h = fgh
+    n, zero = len(f), (0 if f.domain is Z else Fraction(0))
+    assert (f * g).values == exact_convolution(f.values, g.values, n, zero)
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f - f == omega(n, f.domain)
+
+
+@given(_triples(unit=True))
+@LAWS
+def test_units_invert_and_divide_on_every_store(fgh):
+    f, g, _ = fgh
+    n = len(f)
+    assert inverse(f) * f == epsilon(n, f.domain)
+    assert divide(g * f, f).quotient == g
+
+
+@given(_triples())
+@LAWS
+def test_operators_are_the_functions_on_every_store(fgh):
+    f, g, _ = fgh
+    assert f + g == add(f, g)
+    assert (f + g).values == tuple(x + y for x, y in zip(f.values, g.values))
+    assert f - g == add(f, scale(g, -1))
+    assert -f == scale(f, -1)
+    assert f * g == convolve(f, g)
+    assert 3 * f == f * 3 == scale(f, 3)
+    assert (f == 3) is False and f != 3
