@@ -1,7 +1,6 @@
 """Sieve-built classical arithmetic functions and their convolution identities.
 
-Built-ins (all generated over Domain.Z and embedded into Domain.Q on
-request):
+Built-ins (each made once, as one store, in the requested domain):
 
     one                 constant 1
     epsilon             convolution identity
@@ -16,8 +15,8 @@ request):
 
 Generation is by per-prime valuation passes (the numpy kernels), never
 per-index factorization.  Past the int64 gates the same sieve runs over
-Python ints.  Either way the sieve's 1-indexed array becomes the
-function's store as it is.
+Python ints.  Either way the 1-indexed integer array becomes the
+function's store as it is, over Z or over Q with L = 1.
 """
 
 from __future__ import annotations
@@ -29,9 +28,10 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .ring import ArithFunc, Domain, convolve, epsilon, with_domain
+from .ring import ArithFunc, Domain, convolve
 
 _PARAM_NAME = re.compile(r"^(id|sigma)_(\d+)$")
+_ALIASES = {"id": "id_1", "sigma": "sigma_1"}
 
 PLAIN_NAMES = (
     "one",
@@ -50,55 +50,39 @@ def available_names() -> tuple[str, ...]:
 
 
 def is_known_name(name: str) -> bool:
-    return name in PLAIN_NAMES or name in ("id", "sigma") or bool(_PARAM_NAME.match(name))
+    return name in PLAIN_NAMES or name in _ALIASES or bool(_PARAM_NAME.match(name))
 
 
 def build(name: str, bound: int, domain: Domain = Domain.Z) -> ArithFunc:
     """Construct a named function with exact values on 1..bound."""
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    base = _dispatch(name, bound)
-    return with_domain(base, domain)
+    return ArithFunc(domain, _integers(_ALIASES.get(name, name), bound), 1)
 
 
-def _dispatch(name: str, n: int) -> ArithFunc:
-    name = {"id": "id_1", "sigma": "sigma_1"}.get(name, name)
+def _integers(name: str, n: int) -> np.ndarray:
+    """The built-in `name` on 1..n as a 1-indexed integer array, [0] = 0."""
     if name == "one":
-        ones = np.ones(n + 1, np.int64)
-        ones[0] = 0
-        return ArithFunc(Domain.Z, ones, 1)
+        return np.minimum(np.arange(n + 1, dtype=np.int64), 1)
     if name == "epsilon":
-        return epsilon(n, Domain.Z)
+        return (np.arange(n + 1) == 1).astype(np.int64)
     if name in kernels.RULES:
-        return _sieve(n, *kernels.RULES[name])
-    if name == "prime_char":
-        return ArithFunc(Domain.Z, kernels.primes_mask(n).astype(np.int64), 1)
-    if name == "pi_squared":
-        counts = np.cumsum(kernels.primes_mask(n).astype(np.int64))
-        return ArithFunc(Domain.Z, counts * counts, 1)
+        return getattr(kernels, kernels.RULES[name][0])(n)
+    if name in ("prime_char", "pi_squared"):
+        primes = kernels.primes_mask(n).astype(np.int64)
+        return primes if name == "prime_char" else np.cumsum(primes) ** 2
     m = _PARAM_NAME.match(name)
-    if m:
-        k = int(m.group(2))
-        if m.group(1) == "id":
-            if k < 1:
-                raise ValueError("id_k needs k >= 1")
-            return _id_pow(n, k)
-        # sigma_k(m) <= m^k * tau(m) <= n^k * 2 sqrt(n)
-        fits = kernels.convolution_fits_i64(n**k, 1, n)
-        return _sieve(n, "sigma_i64", kernels.sigma_rule(k), k, fits_i64=fits)
-    raise ValueError(f"unknown function name {name!r}")
-
-
-def _id_pow(n: int, k: int) -> ArithFunc:
-    dtype = np.int64 if n**k < kernels.I64_SAFE else object
-    return ArithFunc(Domain.Z, np.arange(n + 1, dtype=dtype) ** k, 1)
-
-
-def _sieve(n: int, kernel: str, rule, *args, fits_i64: bool = True) -> ArithFunc:
-    """kernels.<kernel>(n, *args) inside the int64 gate, else rule's sieve over ints."""
-    if fits_i64:
-        return ArithFunc(Domain.Z, getattr(kernels, kernel)(n, *args), 1)
-    return ArithFunc(Domain.Z, kernels._multiplicative(n, rule, object), 1)
+    if not m:
+        raise ValueError(f"unknown function name {name!r}")
+    k = int(m.group(2))
+    if m.group(1) == "id":
+        if k < 1:
+            raise ValueError("id_k needs k >= 1")
+        return np.arange(n + 1, dtype=np.int64 if n**k < kernels.I64_SAFE else object) ** k
+    # sigma_k(m) <= m^k * tau(m) <= n^k * 2 sqrt(n)
+    if kernels.convolution_fits_i64(n**k, 1, n):
+        return kernels.sigma_i64(n, k)
+    return kernels._multiplicative(n, kernels.sigma_rule(k), object)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +136,7 @@ def identity_suite(bound: int, domain: Domain = Domain.Z) -> IdentityReport:
     ident = build("id", bound, domain)
     mob = build("mobius", bound, domain)
     cases = (
-        ("mobius*one=epsilon", convolve(mob, one), epsilon(bound, domain)),
+        ("mobius*one=epsilon", convolve(mob, one), build("epsilon", bound, domain)),
         ("one*one=tau", convolve(one, one), build("tau", bound, domain)),
         ("one*id=sigma", convolve(one, ident), build("sigma", bound, domain)),
         ("mobius*id=euler_phi", convolve(mob, ident), build("euler_phi", bound, domain)),

@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import lattice, numutil
-from .core import Domain, ParseError, RingError
+from .core import Domain, ParseError, RingError, _quoted
 
 _NU = re.compile(r"^nu_(\d+)$")
 
@@ -44,10 +45,10 @@ def _resolve(spec: str, bound: int, domain: Domain):
     m = _NU.match(spec)
     if m:
         return nu(int(m.group(1)), bound, domain)
-    if Path(spec).exists():
+    if os.path.exists(spec):  # False, not OSError, for a name too long to be a path
         return serialize.load_path(spec, domain=domain)
     raise ValueError(
-        f"unknown function {spec!r}: not a built-in name, nu_<r>, or existing file"
+        f"unknown function {_quoted(spec)}: not a built-in name, nu_<r>, or existing file"
     )
 
 

@@ -91,12 +91,12 @@ def certify(f: ArithFunc) -> Certificate:
         return Certificate(Verdict.ZERO)
     if is_unit(f):
         return Certificate(Verdict.UNIT)
-    if f._num[1] == 0:
+    if r.index > 1:
         hit = _prime_support(f)
         if hit is not None:
             return Certificate(Verdict.IRREDUCIBLE, Reason(PRIME_SUPPORT, hit))
-    if f.domain is Domain.Z:
-        magnitude = abs(f._num.item(1))
+    elif f.domain is Domain.Z:
+        magnitude = abs(r.leading)
         if magnitude >= 2 and numutil.is_prime(magnitude):
             return Certificate(
                 Verdict.IRREDUCIBLE, Reason(PRIME_LEADING_MAGNITUDE, magnitude)

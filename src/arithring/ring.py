@@ -46,12 +46,9 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import kernels, numutil
-from .core import Domain, RingError
+from .core import Domain, RingError, _quoted
 
 Coefficient = Union[int, Fraction]
-
-# coefficient text longer than this is cut short in an error message
-_QUOTE_CHARS = 40
 
 
 class NotInDomain(RingError):
@@ -79,9 +76,7 @@ def _coerce(value, domain: Domain) -> Coefficient:
         try:
             value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            shown = repr(text[:_QUOTE_CHARS])
-            if len(text) > _QUOTE_CHARS:
-                shown += f"... ({len(text)} characters)"
+            shown = _quoted(text)
             if str(exc).startswith("Exceeds the limit"):
                 shown += (
                     f": more digits than Python's int string limit "

@@ -24,7 +24,7 @@ import math
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import Domain, ParseError
+from .core import Domain, ParseError, _quoted
 from .ring import ArithFunc, make
 
 
@@ -76,14 +76,14 @@ def from_json_obj(obj) -> ArithFunc:
     try:
         domain = Domain(obj["domain"])
     except (KeyError, ValueError) as exc:
-        raise ParseError(f"missing or unknown domain tag: {obj.get('domain')!r}") from exc
+        raise ParseError(f"missing or unknown domain tag: {_quoted(obj.get('domain'))}") from exc
     values = obj.get("values")
     if not isinstance(values, list) or not values:
         raise ParseError("'values' must be a nonempty list")
     if "bound" in obj:
         bound = obj["bound"]
         if type(bound) is not int:  # bool is an int subclass; 2.0 and "2" are not ints
-            raise ParseError(f"bound must be a JSON integer, got {bound!r}")
+            raise ParseError(f"bound must be a JSON integer, got {_quoted(bound)}")
         if bound != len(values):
             raise ParseError(f"bound {bound} disagrees with {len(values)} values")
     if bool in map(type, values):  # make would take true and false as 1 and 0
@@ -125,11 +125,11 @@ def from_csv(text: str, domain: Domain = Domain.Q) -> ArithFunc:
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'index,value', got {raw!r}")
+            raise ParseError(f"line {lineno}: expected 'index,value', got {_quoted(raw)}")
         try:
             idx = int(parts[0])
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad index {parts[0]!r}") from exc
+            raise ParseError(f"line {lineno}: bad index {_quoted(parts[0])}") from exc
         if idx < 1:
             raise ParseError(f"line {lineno}: index {idx} is below 1")
         if idx in entries:

@@ -7,8 +7,11 @@ import itertools
 import pytest
 import sympy
 
-from arithring import Domain, build, convolve, epsilon, identity_suite, is_unit, kernels, make
-from arithring.classical import available_names, is_known_name
+from arithring import (
+    ArithFunc, Domain, build, classical, convolve, epsilon, identity_suite, is_unit, kernels,
+    make, ring, with_domain,
+)
+from arithring.classical import PLAIN_NAMES, available_names, is_known_name
 
 from conftest import (
     exact_multiplicative,
@@ -142,6 +145,38 @@ class TestOverflowGateEdges:
         f = build(f"id_{k}", n, Z)
         assert f.values == tuple(m**k for m in range(1, n + 1))
         assert f == make([m**k for m in range(1, n + 1)], Z)  # the same store and dtype
+
+
+# every built-in, the aliases, and id_k and sigma_k on each side of their gates
+BUILT = [(name, n) for name in (*PLAIN_NAMES, "id", "sigma", "id_3", "sigma_0", "sigma_2",
+                                "id_25", "sigma_12") for n in (1, 2, 30, 1000)]
+GATE_EDGES = [("id_61", 2), ("id_62", 2), ("sigma_29", 4), ("sigma_30", 4)]
+
+
+class TestOneStore:
+    """A built-in over Q is made in one step: the store of the Z build's
+    retag (values, dtype and L = 1), from one ArithFunc, without with_domain."""
+
+    @pytest.mark.parametrize("name, n", BUILT + GATE_EDGES)
+    def test_q_build_is_the_retag_of_the_z_build(self, name, n):
+        got, want = build(name, n, Q), with_domain(build(name, n, Z), Q)
+        assert got == want
+        assert (got.values, got._num.dtype, got._den) == (want.values, want._num.dtype, 1)
+
+    @pytest.mark.parametrize("domain", [Q, Z])
+    @pytest.mark.parametrize("name, n", GATE_EDGES + [(name, 30) for name in PLAIN_NAMES])
+    def test_each_build_makes_one_function(self, monkeypatch, domain, name, n):
+        def refuse(*args):
+            raise AssertionError("build went through with_domain or epsilon")
+
+        for module in (ring, classical):
+            monkeypatch.setattr(module, "with_domain", refuse, raising=False)
+            monkeypatch.setattr(module, "epsilon", refuse, raising=False)
+        made = []
+        post_init = ArithFunc.__post_init__
+        monkeypatch.setattr(ArithFunc, "__post_init__", lambda f: made.append(post_init(f)))
+        f = build(name, n, domain)
+        assert len(made) == 1 and f.domain is domain
 
 
 class TestSympyAgreement:

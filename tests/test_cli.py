@@ -307,6 +307,24 @@ class TestErrors:
         assert len(err.encode()) < 200, err
         assert "(5000 characters)" in err and "int string limit" in err
 
+    LONG = "9" * 10_000
+
+    @pytest.mark.parametrize("name, contents", [
+        ("f.json", json.dumps({"domain": LONG, "values": ["1"]})),
+        ("f.json", json.dumps({"domain": "Q", "bound": LONG, "values": ["1"]})),
+        ("f.csv", f"1,1\n2,{LONG},3\n"),
+        ("f.csv", f"1,1\n{LONG}x,3\n"),
+        (None, LONG),
+    ], ids=["json-domain", "json-bound", "csv-line", "csv-index", "function-spec"])
+    def test_long_input_is_quoted_short(self, capsys, tmp_path, name, contents):
+        spec = contents
+        if name is not None:
+            spec = str(tmp_path / name)
+            (tmp_path / name).write_text(contents)
+        code, out, err = run(capsys, "fn-eval" if name else "rank", spec)
+        assert code == 2 and out == ""
+        assert len(err) < 200 and "characters)" in err, err
+
     def test_domain_mismatch_is_verdict_failure(self, capsys, tmp_path):
         from arithring.serialize import dump_path
 
