@@ -356,6 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _message(exc: Exception) -> str:
+    """str(exc), with the file names of an OSError cut short by _quoted."""
+    if not isinstance(exc, OSError) or exc.filename is None:
+        return str(exc) or type(exc).__name__
+    text = f"[Errno {exc.errno}] {exc.strerror}: {_quoted(exc.filename)}"
+    return text if exc.filename2 is None else f"{text} -> {_quoted(exc.filename2)}"
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -369,7 +377,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.write(text)
         return code
     except (ParseError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
     except RingError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,10 +12,12 @@ A function stores integers F over their least common denominator L, f =
 F / L, as FLINT's ``fmpq_poly`` does.  F is one read-only numpy array in
 the kernels' 1-indexed form, F[0] = 0: int64 when every value fits, else
 ``object`` (Python ints), which every route reads as it is.  Over Z, L is
-1; Z embeds in Q by a retag sharing F.  ``values`` is built on first read
-and cached.  An L wider than ``_MAX_SCALE_BITS`` would make every F value
-as wide, so such a function stores its ``Fraction``s, with no L.  Sums and
-scalar multiples run on F, in int64 behind an exact gate.
+1; Z embeds in Q by a retag sharing F.  :func:`make` reads ints, bools and
+numpy integers into F in one C pass of ``array('q')``; only a list holding
+another kind of value is coerced value by value.  ``values`` is built on
+first read and cached.  An L wider than ``_MAX_SCALE_BITS`` would make
+every F value as wide, so such a function stores its ``Fraction``s, with
+no L.  Sums and scalar multiples run on F, in int64 behind an exact gate.
 
 f * g = (F * G) / (L_f L_g), so both domains multiply on the one
 convolution kernel of :mod:`arithring.kernels`: over int64 when its
@@ -34,6 +36,7 @@ exact; only a ``Fraction`` store takes the solve on ``Fraction``s.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import functools
 import math
@@ -229,11 +232,15 @@ class DivisionResult:
 
 def make(values: Iterable, domain: Domain = Domain.Q) -> ArithFunc:
     """Build an ArithFunc from f(1), f(2), ... validating every coefficient."""
+    # each would be read as its characters, its bytes or in set order
+    if isinstance(values, (str, bytes, bytearray, set, frozenset)):
+        raise TypeError(f"make takes f(1), f(2), ... in order, not a {type(values).__name__}")
     vals = values if isinstance(values, (list, tuple)) else list(values)
-    # exact ints are the identity case of _coerce: one C-level type check, one pack
-    if set(map(type, vals)) == {int}:
-        return ArithFunc(domain, _pack(vals), 1)
-    return ArithFunc(domain, [_coerce(v, domain) for v in vals])
+    try:  # values with __index__ are the identity case of _coerce
+        packed = _pack(vals)
+    except TypeError:
+        return ArithFunc(domain, [_coerce(v, domain) for v in vals])
+    return ArithFunc(domain, packed, 1)
 
 
 def _indicator(r: int, bound: int) -> np.ndarray:
@@ -383,13 +390,13 @@ def _rational(ints: Sequence[int], den: int) -> tuple:
 
 
 def _pack(values: Sequence[int]) -> np.ndarray:
-    """The ints `values` as a 1-indexed store array, int64 when they all fit, else object."""
-    arr = np.zeros(len(values) + 1, np.int64)
+    """The integers `values` as a 1-indexed store array, int64 when they all fit,
+    else object; TypeError for a value without ``__index__``, such as a float."""
     try:
-        arr[1:] = np.fromiter(values, np.int64, count=len(values))
+        packed = array.array("q", values)
     except OverflowError:
-        arr = np.array((0, *values), object)
-    return arr
+        return np.array((0, *map(operator.index, values)), object)
+    return np.concatenate(([0], np.frombuffer(packed, np.int64)))
 
 
 def _peak(arr: np.ndarray) -> int:

@@ -178,4 +178,6 @@ def _infer_format(path: Path) -> str:
     suffix = path.suffix.lower().lstrip(".")
     if suffix in ("json", "csv"):
         return suffix
-    raise ValueError(f"cannot infer format from {path.name!r}: expected a .json or .csv file")
+    raise ValueError(
+        f"cannot infer format from {_quoted(path.name)}: expected a .json or .csv file"
+    )

@@ -325,6 +325,40 @@ class TestErrors:
         assert code == 2 and out == ""
         assert len(err) < 200 and "characters)" in err, err
 
+    @pytest.mark.parametrize("argv", [
+        ("fn-eval", "{}.json"),
+        ("fn-eval", "{}"),
+        ("fn-build", "one", "--bound", "3", "--out", "{}.json"),
+    ], ids=["read", "no-suffix", "write"])
+    def test_long_path_is_quoted_short(self, capsys, tmp_path, argv):
+        path = str(tmp_path / ("p" * 10_000))
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert code == 2 and out == ""
+        assert len(err) < 200 and "characters)" in err, err
+
+    def test_short_path_error_is_os_text(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "fn-eval", "missing.json")
+        assert code == 2 and out == ""
+        assert err == "error: [Errno 2] No such file or directory: 'missing.json'\n"
+
+    @pytest.mark.parametrize("size", [3, 10_000])
+    def test_second_file_name_is_quoted_too(self, capsys, monkeypatch, size):
+        from arithring import serialize
+
+        exc = OSError(18, "Invalid cross-device link", "a" * size, None, "b" * size)
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(serialize, "load_path", fail)
+        code, out, err = run(capsys, "fn-eval", "f.json")
+        assert code == 2 and out == ""
+        if size == 3:
+            assert err == f"error: {exc}\n"
+        else:
+            assert len(err) < 200 and err.count("(10000 characters)") == 2, err
+
     def test_domain_mismatch_is_verdict_failure(self, capsys, tmp_path):
         from arithring.serialize import dump_path
 

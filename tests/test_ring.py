@@ -61,8 +61,9 @@ class TestConstruction:
         assert isinstance(f.values[0], int)
 
     def test_make_rejects_empty_and_floats(self):
-        with pytest.raises(ValueError):
-            make([], Q)
+        for empty, domain in ([], Q), ((), Q), (iter([]), Z):
+            with pytest.raises(ValueError, match="at least one value"):
+                make(empty, domain)
         with pytest.raises(NotInDomain):
             make([0.5], Q)
 
@@ -117,6 +118,12 @@ class TestConstruction:
         digits = sys.get_int_max_str_digits() + 1
         with pytest.raises(NotInDomain, match=rf"\({digits} characters\): more digits than"):
             make(["9" * digits], Z)
+
+    @pytest.mark.parametrize("values", ["12", b"12", bytearray(b"12"), {5, 1, 3}, frozenset({1})],
+                             ids=lambda v: type(v).__name__)
+    def test_make_refuses_text_bytes_and_sets(self, values):
+        with pytest.raises(TypeError, match=f"not a {type(values).__name__}$"):
+            make(values, Z)
 
     def test_make_over_z_keeps_exact_ints(self):
         values = [5, -(1 << 70), 0, 1 << 63]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -334,6 +335,67 @@ def test_add_gate_edge(x, y):
 
 
 # ---------------------------------------------------------------------------
+# intake: make against the per-value route
+# ---------------------------------------------------------------------------
+
+I64 = 1 << 63
+
+# what the array('q') pass reads: ints, bools and numpy integers, to past int64
+_INTEGERS = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from([I64 - 1, -I64, I64, -I64 - 1]),
+    st.integers(-(1 << 100), 1 << 100),
+    st.booleans(),
+    st.builds(lambda t, v: t(v), st.sampled_from([np.int8, np.int64, np.uint16]),
+              st.integers(0, 99)),
+    st.sampled_from([np.int64(-I64), np.uint64(I64 - 1), np.uint64(I64)]),
+)
+# and what it refuses, for _coerce to read or reject value by value
+_OTHERS = st.one_of(
+    st.floats(),
+    st.builds(np.float64, st.integers(-3, 3)),
+    st.sampled_from([np.bool_(True), np.bool_(False), None, "7", " -3 ", "1/2", "4/2", "x", ""]),
+    st.fractions(max_denominator=6),
+    st.just(Fraction(1, (1 << 64) + 1)),
+    st.builds(Decimal, st.integers(-5, 5)),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_CONTAINERS = {"list": list, "tuple": tuple, "generator": lambda vals: (v for v in vals)}
+
+
+def _intake(fn):
+    """fn()'s store as (domain, L, dtype, typed values), or its exception's type and message."""
+    try:
+        f = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return f.domain, f._den, f._num.dtype, [(type(v), v) for v in f._num.tolist()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_INTEGERS, max_size=6) | st.lists(_INTEGERS | _OTHERS, max_size=6),
+       st.sampled_from(sorted(_CONTAINERS)), st.sampled_from([Z, Q]))
+def test_make_is_the_per_value_route(vals, container, domain):
+    """make gives the store that coercing each value gives, or the same error."""
+    want = _intake(lambda: ArithFunc(domain, [ring._coerce(v, domain) for v in vals]))
+    assert _intake(lambda: make(_CONTAINERS[container](vals), domain)) == want
+
+
+@pytest.mark.parametrize("values, dtype", [
+    ([I64 - 1, -I64], np.int64),
+    ([I64], object),
+    ([-I64 - 1], object),
+    (np.array([1, I64], np.uint64), object),
+], ids=["int64 edges", "2**63", "-2**63 - 1", "uint64 2**63"])
+def test_make_at_the_int64_edges(values, dtype):
+    for domain in (Z, Q):
+        f = make(values, domain)
+        assert f._num.dtype == dtype and f._den == 1
+        assert f._num.tolist() == [0, *map(int, values)]
+        assert all(type(v) is int for v in f._num.tolist())
+
+
+# ---------------------------------------------------------------------------
 # immutability, and no packing or unpacking on the int64 routes
 # ---------------------------------------------------------------------------
 
@@ -348,25 +410,22 @@ def test_stores_are_read_only():
     assert f.values == (1, 2, 3, 4)
 
 
-def _conversions(fn, *args):
-    """fn(*args), with the size of each array that ``tolist`` unpacked and the
-    number of ``np.fromiter`` calls, seen by a profile hook on C calls."""
-    unpacked, fromiter = [], []
+def _unpacked(fn, *args):
+    """fn(*args), with the size of each array that ``tolist`` unpacked, seen by
+    a profile hook on C calls."""
+    unpacked = []
 
     def profile(frame, event, arg):
-        if event == "c_call":
-            name = getattr(arg, "__name__", None)
-            if name == "tolist" and isinstance(getattr(arg, "__self__", None), np.ndarray):
-                unpacked.append(arg.__self__.size)
-            elif name == "fromiter":
-                fromiter.append(1)
+        if (event == "c_call" and getattr(arg, "__name__", None) == "tolist"
+                and isinstance(getattr(arg, "__self__", None), np.ndarray)):
+            unpacked.append(arg.__self__.size)
 
     sys.setprofile(profile)
     try:
         result = fn(*args)
     finally:
         sys.setprofile(None)
-    return result, unpacked, len(fromiter)
+    return result, unpacked
 
 
 def test_int64_routes_neither_pack_nor_unpack(monkeypatch):
@@ -374,15 +433,17 @@ def test_int64_routes_neither_pack_nor_unpack(monkeypatch):
     is: no pack and no O(N) tolist, only the kernel's loop heads of at most
     isqrt(N) values."""
     n = 30011
-    f = make([(m * 7919) % 19 - 9 for m in range(n)], Z)
-    g = make([(m * 104729) % 19 - 9 for m in range(n)], Z)
     packs = []
     real = ring._pack
     monkeypatch.setattr(ring, "_pack", lambda *args: packs.append(args) or real(*args))
-    product, unpacked, fromiter = _conversions(convolve, f, g)
-    report, suite_unpacked, suite_fromiter = _conversions(identity_suite, n, Z)
+    f = make([(m * 7919) % 19 - 9 for m in range(n)], Z)
+    g = make([(m * 104729) % 19 - 9 for m in range(n)], Z)
+    assert len(packs) == 2  # the spy sees every pack: one per make
+    packs.clear()
+    product, unpacked = _unpacked(convolve, f, g)
+    report, suite_unpacked = _unpacked(identity_suite, n, Z)
     assert report.ok
-    assert packs == [] and fromiter == suite_fromiter == 0
+    assert packs == []
     assert max(unpacked + suite_unpacked) <= math.isqrt(n)
     assert product.values == exact_convolution(f.values, g.values, n, 0)
 
