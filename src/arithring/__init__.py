@@ -41,10 +41,7 @@ _EXPORTS = {
     "serialize": ("dump_path", "from_csv", "load_path", "to_csv", "to_json_obj"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (
-    "classical", "cli", "core", "factorization", "kernels", "lattice", "numutil", "ring",
-    "serialize",
-)
+_SUBMODULES = (*_EXPORTS, "cli", "numutil")
 
 __all__ = sorted(_HOME)
 

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .ring import ArithFunc, Domain, convolve
+from .ring import ArithFunc, Domain, _first_mismatch, convolve
 
 _PARAM_NAME = re.compile(r"^(id|sigma)_(\d+)$")
 _ALIASES = {"id": "id_1", "sigma": "sigma_1"}
@@ -115,15 +115,6 @@ class IdentityReport:
                 for c in self.checks
             ],
         }
-
-
-def _first_mismatch(f: ArithFunc, g: ArithFunc) -> Optional[int]:
-    """First index where f and g differ: on F over one denominator, else on values."""
-    if f._den == g._den:
-        n = min(len(f), len(g)) + 1
-        differ = np.flatnonzero(f._num[1:n] != g._num[1:n])
-        return int(differ[0]) + 1 if differ.size else None
-    return next((i for i, (x, y) in enumerate(zip(f.values, g.values), 1) if x != y), None)
 
 
 def identity_suite(bound: int, domain: Domain = Domain.Z) -> IdentityReport:

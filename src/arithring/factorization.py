@@ -28,13 +28,13 @@ from typing import Optional
 import numpy as np
 
 from . import numutil
-from .classical import _first_mismatch
 from .kernels import primes_mask
 from .ring import (
     ArithFunc,
     Domain,
     DomainMismatch,
     NoVisibleRank,
+    _first_mismatch,
     convolve,
     is_unit,
     rank,

@@ -25,13 +25,13 @@ overflow gate passes, else on residues modulo a few primes with a CRT
 rebuild when both operands are dense, else over ``object``.  The CRT
 reduces int64 by floor division, never numpy's slower ``%``, and
 rebuilds in place on one ``object`` array; the ``object`` kernel takes
-the sparser operand cut after its last nonzero value.  The
-inverse of f is the quotient of epsilon by f, by one triangular solve
-over Z on F, in blocks that grow by a factor 1 + 1/r for a divisor of
-rank r, each one product on the kernel (a relaxed solve; van der Hoeven,
-"Relax, but don't be too lazy", JSC 2002).  Over Q the dividend is first
-scaled by a power of the divisor's integer lead, so every division is
-exact; only a ``Fraction`` store takes the solve on ``Fraction``s.
+the sparser operand cut after its last nonzero value.  A division reads
+the divisor's rank r and lead off its store and solves over Z on F, in
+blocks that grow by a factor 1 + 1/r, each one product on the kernel (a
+relaxed solve; van der Hoeven, "Relax, but don't be too lazy", JSC 2002);
+the inverse of f is the quotient of epsilon by f.  Over Q the dividend is
+first scaled by a power of the divisor's integer lead, so every division
+is exact; only a ``Fraction`` store takes the solve on ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import functools
 import math
 import operator
 import sys
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -136,9 +137,9 @@ class ArithFunc:
     _den: Optional[int] = None
 
     def __post_init__(self):
-        num, den = self._num, self._den
+        num, den, domain = self._num, self._den, Domain(self.domain)
         if den is None:  # `num` holds the values
-            den = 1 if self.domain is Domain.Z else _denominator(num)
+            den = 1 if domain is Domain.Z else _denominator(num)
             if den is None:  # ints among the values become Fractions too
                 num = np.array((0, *map(Fraction, num)), object)
             else:
@@ -156,6 +157,7 @@ class ArithFunc:
             with contextlib.suppress(OverflowError):
                 num = num.astype(np.int64)
         num.flags.writeable = False
+        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
@@ -232,13 +234,14 @@ class DivisionResult:
 
 def make(values: Iterable, domain: Domain = Domain.Q) -> ArithFunc:
     """Build an ArithFunc from f(1), f(2), ... validating every coefficient."""
-    # each would be read as its characters, its bytes or in set order
-    if isinstance(values, (str, bytes, bytearray, set, frozenset)):
+    # each would be read as its characters, its bytes, its keys or in set order
+    if isinstance(values, (str, bytes, bytearray, Mapping, Set)):
         raise TypeError(f"make takes f(1), f(2), ... in order, not a {type(values).__name__}")
     vals = values if isinstance(values, (list, tuple)) else list(values)
     try:  # values with __index__ are the identity case of _coerce
         packed = _pack(vals)
     except TypeError:
+        domain = Domain(domain)
         return ArithFunc(domain, [_coerce(v, domain) for v in vals])
     return ArithFunc(domain, packed, 1)
 
@@ -271,6 +274,7 @@ def nu(r: int, bound: int, domain: Domain = Domain.Q) -> ArithFunc:
 
 def with_domain(f: ArithFunc, domain: Domain) -> ArithFunc:
     """Re-tag f into `domain`, sharing F: Z embeds in Q; Q to Z needs L = 1."""
+    domain = Domain(domain)
     if f.domain is domain:
         return f
     if domain is Domain.Q or f._den == 1:
@@ -402,6 +406,15 @@ def _pack(values: Sequence[int]) -> np.ndarray:
 def _peak(arr: np.ndarray) -> int:
     """max |value| of an integer array, as an exact int; 0 when it is empty."""
     return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+
+
+def _first_mismatch(f: ArithFunc, g: ArithFunc) -> Optional[int]:
+    """First index where f and g differ: on F over one denominator, else on values."""
+    if f._den == g._den:
+        n = min(len(f), len(g)) + 1
+        differ = np.flatnonzero(f._num[1:n] != g._num[1:n])
+        return int(differ[0]) + 1 if differ.size else None
+    return next((i for i, (x, y) in enumerate(zip(f.values, g.values), 1) if x != y), None)
 
 
 # ---------------------------------------------------------------------------
@@ -564,22 +577,18 @@ def _divide_solve(a: Sequence, b: Sequence, n: int, lead_idx: int, domain: Domai
     """Solve b * g = a over domain; (quotient values, None) or (None, witness)."""
     lead = b[lead_idx - 1]
     solve_top = n // lead_idx
-    zero = Fraction(0) if domain is Domain.Q else 0
-    # exact division by lead is a product over Q, and over Z when lead is +-1
-    inv_lead = Fraction(1) / lead if domain is Domain.Q else (lead if lead in (1, -1) else None)
+    # exact division by lead: a product over Q, divmod over Z
+    inv_lead = Fraction(1) / lead if domain is Domain.Q else None
     # d = lead_idx only changes the index just solved, which is never read again
     nonzero = [i + 1 for i in range(lead_idx, n) if b[i]]
-    g = [zero] * (solve_top + 1)
-    res = [zero, *a]  # res[idx] = a(idx) - (b * g)(idx) over the g solved so far
+    g = [0] * (solve_top + 1)
+    res = [0, *a]  # res[idx] = a(idx) - (b * g)(idx) over the g solved so far
     for idx in range(1, n + 1):
         if idx % lead_idx == 0:
             m = idx // lead_idx
-            if inv_lead is not None:
-                gm = res[idx] * inv_lead
-            else:
-                gm, rem = divmod(res[idx], lead)
-                if rem:
-                    return None, idx
+            gm, rem = divmod(res[idx], lead) if inv_lead is None else (res[idx] * inv_lead, 0)
+            if rem:
+                return None, idx
             g[m] = gm
             if gm:
                 for d in nonzero:
@@ -589,7 +598,7 @@ def _divide_solve(a: Sequence, b: Sequence, n: int, lead_idx: int, domain: Domai
                     res[at] -= b[d - 1] * gm
         elif res[idx]:
             return None, idx
-    return tuple(g[1:]) + (zero,) * (n - solve_top), None
+    return tuple(g[1:]) + (0,) * (n - solve_top), None
 
 
 # A rank-r solve takes its first min(N, _HEAD r^2) indices sequentially, as
@@ -634,6 +643,7 @@ def _block_solve(a: np.ndarray, b: np.ndarray, n: int, r: int):
         at = res[-(c + 1) % r :: r]  # at the multiples r (m + 1), ..., r (top // r)
         if lead >> 63 not in (0, -1):
             at = at.astype(object)
+        # a +-1 lead skips the % and rem != 0 passes: a 41-bit inverse at N = 8e4 saves 5-8 %
         q, rem = (_combine((at, lead)), 0) if lead in (1, -1) else (at // lead, at % lead)
         bad = res != 0 if r > 1 else np.zeros(len(res), bool)  # r = 1: only multiples
         bad[-(c + 1) % r :: r] = rem != 0
@@ -642,29 +652,33 @@ def _block_solve(a: np.ndarray, b: np.ndarray, n: int, r: int):
         c = top
 
 
-def _solve(a: ArithFunc, b: ArithFunc, lead_idx: int):
+def _solve(a: ArithFunc, b: ArithFunc):
     """Solve b * g = a at the common bound; (quotient, None) or (None, witness).
 
-    An operand that stores Fractions takes the Fraction solve on its values.
-    Otherwise :func:`_block_solve` runs over Z on a = A / L_a and b = B /
-    L_b.  Over Q with |B(r)| != 1, r = lead_idx, it divides s A by B, s =
-    |B(r)|^K: q(m) reads q(m') only for m' <= min(m - 1, rm / (r + 1)), so
-    with K the longest such chain from N / r every division by B(r) is
-    exact, and a residual at a non-multiple of r is only multiplied by s.
-    The quotient is (L_b / (L_a s)) q, which the constructor reduces.
+    b has rank r and lead B(r) at the common bound, or NoVisibleRank.  An
+    operand storing Fractions takes the Fraction solve on its values, else
+    :func:`_block_solve` runs over Z on a = A / L_a and b = B / L_b.  Over Q
+    with |B(r)| != 1 it divides s A by B, s = |B(r)|^K: q(m) reads q(m')
+    only for m' <= min(m - 1, rm / (r + 1)), so with K the longest such
+    chain from N / r every division by B(r) is exact, and a residual at a
+    non-multiple of r is only multiplied by s.  The quotient is (L_b / (L_a
+    s)) q, which the constructor reduces.
     """
     n = _common(a, b)
-    if a._den is None or b._den is None:
-        q, witness = _divide_solve(a.values[:n], b.values[:n], n, lead_idx, a.domain)
-        return (None, witness) if q is None else (ArithFunc(a.domain, q), None)
     A, B, den = a._num[: n + 1], b._num[: n + 1], a._den
-    lead = abs(B.item(lead_idx))
+    r = 1 if B[1] else int(np.argmax(B != 0))  # as in rank: argmax 0 means none
+    if not r:
+        raise NoVisibleRank("divisor is zero at the common bound")
+    if a._den is None or b._den is None:
+        q, witness = _divide_solve(a.values[:n], b.values[:n], n, r, a.domain)
+        return (None, witness) if q is None else (ArithFunc(a.domain, q), None)
+    lead = abs(B.item(r))
     if a.domain is Domain.Q and lead != 1:
-        m, s = n // lead_idx, 1
+        m, s = n // r, 1
         while m:  # one factor of |B(r)| per step of the chain from N / r
-            m, s = min(m - 1, lead_idx * m // (lead_idx + 1)), s * lead
+            m, s = min(m - 1, r * m // (r + 1)), s * lead
         A, den = _combine((A, s)), den * s
-    q, witness = _block_solve(A, B, n, lead_idx)
+    q, witness = _block_solve(A, B, n, r)
     if q is not None and b._den != 1:
         q = _combine((q, b._den))
     return (None, witness) if q is None else (ArithFunc(a.domain, q, den), None)
@@ -679,22 +693,19 @@ def inverse(f: ArithFunc) -> ArithFunc:
     """
     if not is_unit(f):
         raise NotAUnit(f"leading value {f[1]} is not invertible in {f.domain.value}")
-    return _solve(epsilon(len(f), f.domain), f, 1)[0]
+    return _solve(epsilon(len(f), f.domain), f)[0]
 
 
 def divide(num: ArithFunc, den: ArithFunc) -> DivisionResult:
     """Solve den * g = num exactly at the common bound N.
 
-    The quotient is determined on indices m <= floor(N / b) (b = rank of
-    den) by a triangular solve and taken as zero above that range; every
-    index of the residual den * g - num is checked.  Returns the quotient,
-    or the first failing index as the non-divisibility witness.  A zero
-    numerator is divisible with the zero quotient.  :func:`_solve` picks the route.
+    :func:`_solve` reads den's rank b and lead and picks the route.  The
+    quotient is determined on m <= floor(N / b) by a triangular solve and
+    taken as zero above; every index of the residual den * g - num is
+    checked.  Returns the quotient, or the first failing index as the
+    non-divisibility witness.  A zero numerator gives the zero quotient.
     """
-    rb = rank(restrict(den, _common(num, den)))
-    if not rb.visible:
-        raise NoVisibleRank("divisor is zero at the common bound")
-    return DivisionResult(*_solve(num, den, rb.index))
+    return DivisionResult(*_solve(num, den))
 
 
 def are_associates(f: ArithFunc, g: ArithFunc) -> bool:

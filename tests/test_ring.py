@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from arithring import (
     NotInDomain,
     add,
     are_associates,
+    build,
     convolve,
     divide,
     epsilon,
@@ -124,6 +126,42 @@ class TestConstruction:
     def test_make_refuses_text_bytes_and_sets(self, values):
         with pytest.raises(TypeError, match=f"not a {type(values).__name__}$"):
             make(values, Z)
+
+    @pytest.mark.parametrize("domain", [Q, Z])
+    @pytest.mark.parametrize("values", [
+        {1: 5, 2: 7}, {1: 5, 2: 7}.keys(), {1: 5, 2: 7}.items(), MappingProxyType({1: 5}),
+    ], ids=lambda v: type(v).__name__)
+    def test_make_refuses_mappings_and_their_views(self, values, domain):
+        """A mapping would be read as its keys, a view as its keys or items."""
+        with pytest.raises(TypeError, match=f"not a {type(values).__name__}$"):
+            make(values, domain)
+
+    @pytest.mark.parametrize("domain", [Q, Z])
+    def test_make_takes_sequences_iterators_and_value_views(self, domain):
+        want = make([5, 7, 0], domain)
+        for values in ((5, 7, 0), iter([5, 7, 0]), (v for v in (5, 7, 0)),
+                       {1: 5, 2: 7, 3: 0}.values(), np.array([5, 7, 0])):
+            assert make(values, domain) == want
+        assert make(range(3), domain).values == (0, 1, 2)
+
+    @pytest.mark.parametrize("domain", [Q, Z])
+    def test_domain_given_as_text_is_the_member(self, domain):
+        """"Q" and "Z" act as Domain.Q and Domain.Z in every constructor."""
+        text = domain.value
+        f = make([1, 2, 3], text)
+        assert f.domain is domain and f == make([1, 2, 3], domain)
+        assert repr(f) == f"ArithFunc({text}, N=3, [1, 2, 3])"
+        assert is_unit(f) and convolve(f, epsilon(3, domain)) == f
+        g = make(["1/2", 3] if domain is Q else ["4/2", 3], text)
+        assert g.domain is domain and g == make(g.values, domain)
+        assert build("one", 4, text).domain is domain
+        assert ArithFunc(text, np.array([0, 1, 2]), 1).domain is domain
+        h = with_domain(make([1, 2], Z), text)
+        assert h.domain is domain and h == make([1, 2], domain)
+        for call in (lambda: make([1], "X"), lambda: make(["1/2"], "X"),
+                     lambda: with_domain(f, "X"), lambda: build("one", 4, "X")):
+            with pytest.raises(ValueError, match="'X' is not a valid Domain"):
+                call()
 
     def test_make_over_z_keeps_exact_ints(self):
         values = [5, -(1 << 70), 0, 1 << 63]
@@ -342,6 +380,24 @@ class TestDivide:
     def test_zero_denominator_raises(self):
         with pytest.raises(NoVisibleRank):
             divide(epsilon(8, Q), omega(8, Q))
+
+    @pytest.mark.parametrize("domain", [Q, Z])
+    def test_longer_divisor_is_read_at_the_common_bound(self, monkeypatch, domain):
+        """A divisor longer than the dividend is not cut into a function of
+        its own: the division makes only its quotient."""
+        den = make([0, 3, -1, 2, 0, 5, 1, 1, 7, -2, 4, 9], domain)
+        num = convolve(restrict(den, 8), make([1, -2, 0, 4, 1, 0, 0, 3], domain))
+        want = divide(num, restrict(den, 8))
+        made = []
+        post_init = ArithFunc.__post_init__
+        monkeypatch.setattr(ArithFunc, "__post_init__", lambda f: made.append(post_init(f)))
+        got = divide(num, den)
+        assert len(made) == 1
+        monkeypatch.undo()
+        assert got == want and got.quotient.values == (1, -2, 0, 4, 0, 0, 0, 0)
+        hidden = make([0] * 8 + [1, 2, 3], domain)  # zero on 1..8 alone
+        with pytest.raises(NoVisibleRank, match="^divisor is zero at the common bound$"):
+            divide(num, hidden)
 
     def test_integer_exact_division_failure(self):
         result = divide(epsilon(4, Z), scale(epsilon(4, Z), 2))

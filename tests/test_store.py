@@ -124,6 +124,18 @@ def test_z_to_q_is_a_retag():
         with_domain(_wide(), Z)
 
 
+@pytest.mark.parametrize("f, store", [
+    (make([1, Fraction(-3, 2)], Q), (np.int64, 2)),
+    (make([1, -(1 << 70)], Z), (object, 1)),
+    (make([1, 1 << 70], Q), (object, 1)),
+    (_wide(), (object, None)),
+], ids=["int64", "object Z", "object Q", "fractions"])
+def test_with_domain_to_its_own_domain_is_the_function(f, store):
+    assert (f._num.dtype, f._den) == store
+    assert with_domain(f, f.domain) is f
+    assert with_domain(f, f.domain.value) is f
+
+
 @pytest.mark.parametrize("values, first", [
     ([2, 4, Fraction(-3, 2), Fraction(1, 3)], "-3/2"),  # L = 6: F = (12, 24, -9, 2)
     ([3, 0, Fraction(5, 1 << 63)], "5/9223372036854775808"),  # L past int64
