@@ -8,7 +8,7 @@ analysis (minimum chain partitions, complements, distributivity).
 ``import arithring`` loads no submodule.  A public name or submodule is
 imported on first access (PEP 562) and then kept in this module's
 namespace, with the other public names of its home module.  The function
-layer (``ring``, ``kernels``, ``classical``, ``factorization``,
+layer (``ring``, ``kernels``, ``crt``, ``classical``, ``factorization``,
 ``serialize``) loads numpy; ``lattice``, ``numutil``, ``core`` and the
 CLI's integer commands run on the standard library alone.
 """
@@ -41,7 +41,7 @@ _EXPORTS = {
     "serialize": ("dump_path", "from_csv", "load_path", "to_csv", "to_json_obj"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "cli", "numutil")
+_SUBMODULES = (*_EXPORTS, "cli", "crt", "numutil")
 
 __all__ = sorted(_HOME)
 

@@ -55,6 +55,7 @@ def is_known_name(name: str) -> bool:
 
 def build(name: str, bound: int, domain: Domain = Domain.Z) -> ArithFunc:
     """Construct a named function with exact values on 1..bound."""
+    domain = Domain(domain)  # a bad tag raises before the sieve runs
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     return ArithFunc(domain, _integers(_ALIASES.get(name, name), bound), 1)

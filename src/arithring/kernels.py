@@ -4,8 +4,9 @@ The kernels are vectorised numpy over int64 or, with ``dtype=object``,
 over exact Python ints or ``Fraction``s.  Convolution uses Dirichlet's
 hyperbola split, about 2*sqrt(n) strided passes, and is the package's
 one convolution: ``ring`` runs it on int64 operands that pass
-:func:`convolution_fits_i64`, once per prime p on residues (max_a = max_b
-= p - 1 pass the gate) before a CRT rebuild, and on ``object`` operands.
+:func:`convolution_fits_i64` and on ``object`` operands, and
+:mod:`arithring.crt` once per prime p on residues (max_a = max_b = p - 1
+pass the gate).
 The multiplicative sieve makes one strided pass per prime up to sqrt(n).
 Primality masks and the sieve's cofactors are int64 on every route,
 since they hold no function values.

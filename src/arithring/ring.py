@@ -22,16 +22,20 @@ no L.  Sums and scalar multiples run on F, in int64 behind an exact gate.
 f * g = (F * G) / (L_f L_g), so both domains multiply on the one
 convolution kernel of :mod:`arithring.kernels`: over int64 when its
 overflow gate passes, else on residues modulo a few primes with a CRT
-rebuild when both operands are dense, else over ``object``.  The CRT
-reduces int64 by floor division, never numpy's slower ``%``, and
-rebuilds in place on one ``object`` array; the ``object`` kernel takes
-the sparser operand cut after its last nonzero value.  A division reads
-the divisor's rank r and lead off its store and solves over Z on F, in
-blocks that grow by a factor 1 + 1/r, each one product on the kernel (a
-relaxed solve; van der Hoeven, "Relax, but don't be too lazy", JSC 2002);
-the inverse of f is the quotient of epsilon by f.  Over Q the dividend is
-first scaled by a power of the divisor's integer lead, so every division
-is exact; only a ``Fraction`` store takes the solve on ``Fraction``s.
+rebuild when both operands are dense (:mod:`arithring.crt`, loaded on
+the first such product), else over ``object``; the ``object`` kernel
+takes the sparser operand cut after its last nonzero value.  A division
+reads the divisor's rank r and lead off its store and solves over Z on
+F, in blocks that grow by a factor 1 + 1/r (a relaxed solve; van der
+Hoeven, "Relax, but don't be too lazy", JSC 2002).  A block whose
+product would take the CRT is solved in residues: per prime one kernel
+call gives the residual mod p, and Garner's step rebuilds the quotient
+once, in int64 when it fits, with no big-int residual or division.  Any
+other block takes one product on the kernel and divides its residual by
+the lead.  The inverse of f is the quotient of epsilon by f.  Over Q the
+dividend is first scaled by a power of the divisor's integer lead, so
+every division is exact; only a ``Fraction`` store takes the solve on
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import kernels, numutil
+from . import kernels
 from .core import Domain, RingError, _quoted
 
 Coefficient = Union[int, Fraction]
@@ -311,14 +315,15 @@ def scale(f: ArithFunc, c) -> ArithFunc:
 def _combine(*terms) -> np.ndarray:
     """The exact sum of c * arr over the (arr, c) terms of integer arrays: int64
     when sum of |c| * max(1, max|arr|) < 2**63, which bounds every |c|,
-    product and partial sum; else object, not narrowed."""
+    product and partial sum; else object, not narrowed.  A lone term with
+    c = 1 is its own array, and a later term with c = -1 one subtraction."""
     if (any(arr.dtype == object for arr, _ in terms)
             or sum(abs(c) * max(1, _peak(arr)) for arr, c in terms) >> 63):
-        terms = [(arr.astype(object), c) for arr, c in terms]
-    out = None
-    for arr, c in terms:
-        part = arr if c == 1 else arr * c
-        out = part if out is None else out + part
+        terms = [(arr.astype(object, copy=False), c) for arr, c in terms]
+    (out, c), *rest = terms
+    out = out if c == 1 else out * c
+    for arr, c in rest:
+        out = out - arr if c == -1 else out + (arr if c == 1 else arr * c)
     return out
 
 
@@ -408,6 +413,13 @@ def _peak(arr: np.ndarray) -> int:
     return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
+def _limbs_peak(limbs: list) -> int:
+    """A bound on max |value| of the integers of int64 limbs of 62 bits
+    (:func:`arithring.crt.to_limbs`), exact for one limb: |top 2**s + low|
+    < (|top| + 1) 2**s, as 0 <= low < 2**s."""
+    return (_peak(limbs[-1]) + (len(limbs) > 1)) << 62 * (len(limbs) - 1)
+
+
 def _first_mismatch(f: ArithFunc, g: ArithFunc) -> Optional[int]:
     """First index where f and g differ: on F over one denominator, else on values."""
     if f._den == g._den:
@@ -427,127 +439,52 @@ def _operand(arr: np.ndarray):
     return arr, _peak(arr)
 
 
-# The CRT route takes at most this many primes.  Measured at N = 80 000 on
-# dense operands of equal width, each route best of 5-7, interleaved, on
-# 2 cores: the CRT's time over the object kernel's had median 0.91 at 8
-# primes (values up to 98 bits; CRT faster in 9 of 10 runs) and 1.07 at
-# 9 (faster in 3 of 8), where reducing the wide operands costs more than
-# the big-int products it replaces.  A 3-bit operand beside a wide one
-# crosses over at 8 to 9 primes too.
-_CRT_MAX_PRIMES = 8
+def _fits(pa, pb, n: int) -> bool:
+    """The product of two operands at n passes the int64 gate."""
+    (arr_a, max_a), (arr_b, max_b) = pa, pb
+    # the gate alone would pass an object operand beside an all-zero one, at max 0
+    return (object not in (arr_a.dtype, arr_b.dtype)
+            and kernels.convolution_fits_i64(max_a, max_b, n))
 
 
-@functools.cache
-def _crt_prime(h: int, i: int) -> int:
-    """The (i + 1)-th largest prime below 2**h, by primality proof."""
-    p = (1 << h if i == 0 else _crt_prime(h, i - 1)) - 1
-    while not numutil.is_prime(p):
-        p -= 1
-    return p
+def _crt_plan(pa, pb, n: int):
+    """(bound, primes) when the product of two operands at n takes the CRT, else None.
 
-
-def _crt_primes(n: int, bound: int) -> Optional[list]:
-    """The fewest primes whose product exceeds 2 * bound, each below 2**h.
-
-    h = (62 - bits(2 * isqrt(n))) // 2, so (p - 1)**2 * 2 * isqrt(n) < 2**62
-    and every residue product passes the int64 gate.  None past
-    _CRT_MAX_PRIMES.  Each prime is found when first needed, then cached.
+    It does when the int64 gate fails, both operands have more than 2 *
+    isqrt(n) nonzero values, and bound = max_a max_b 2 isqrt(n), which
+    bounds every output, needs at most ``crt.MAX_PRIMES`` primes.
     """
-    h = (62 - (2 * math.isqrt(n)).bit_length()) // 2
-    primes, product = [], 1
-    while product <= 2 * bound:
-        if len(primes) == _CRT_MAX_PRIMES:
-            return None
-        primes.append(_crt_prime(h, len(primes)))
-        product *= primes[-1]
-    return primes
+    s2 = 2 * math.isqrt(n)
+    # pb first: the quotient of are_associates, a block's pb, is the sparse one
+    if _fits(pa, pb, n) or any(np.count_nonzero(arr) <= s2 for arr, _ in (pb, pa)):
+        return None
+    from . import crt  # loaded on the first product that takes it
 
-
-def _residue(arr: np.ndarray, p: int) -> np.ndarray:
-    """arr mod p in [0, p), as int64.
-
-    On int64, x - (x // p) * p: numpy's int64 ``//`` by a scalar is several
-    times faster than its ``%``.  Near -2**63 the product (x // p) * p
-    leaves int64 and wraps, but the difference wraps back to the true
-    remainder.  An ``object`` array takes Python's ``%``.
-    """
-    if arr.dtype == object:
-        return (arr % p).astype(np.int64)
-    q = arr // p
-    q *= p
-    return np.subtract(arr, q, out=q)
-
-
-def _convolve_crt(pa, pb, n: int, bound: int, primes: list, lo: int) -> np.ndarray:
-    """The product of two operands on lo+1..n, zero on 0..lo, from its residues modulo `primes`.
-
-    Per prime, :func:`_residue` reduces each array and one kernel call
-    multiplies them.  Each output x lies in [-bound, bound], so y = x +
-    bound in [0, 2 * bound] is fixed by its residues.  Garner's step
-    writes y in mixed radix, y = v0 + p0 (v1 + p1 (v2 + ...)), digits in
-    int64, each reduced by :func:`_residue`.  Digit pairs form words below
-    2**62, less bound's own words.  Horner's rule over the words rebuilds
-    the values in place on one ``object`` array, one C-level multiply and
-    add per word (von zur Gathen & Gerhard, *Modern Computer Algebra*,
-    ch. 5); the constructor narrows it to int64 when the values fit.
-    """
-    digits = []
-    for p in primes:
-        ra, rb = [_residue(arr, p) for arr, _ in (pa, pb)]
-        y = kernels.convolve_i64(ra, rb, lo)[lo + 1 :]
-        y += bound % p
-        y = _residue(y, p)
-        for q, v in zip(primes, digits):
-            y -= v
-            y *= pow(q, -1, p)
-            y = _residue(y, p)
-        digits.append(y)
-    words, radices = [], []  # in place: each word reuses its high digit's array
-    for j in range(0, len(primes), 2):
-        word, radix = digits[j], primes[j]
-        if j + 1 < len(primes):
-            word = digits[j + 1]
-            word *= radix
-            word += digits[j]
-            radix *= primes[j + 1]
-        words.append(word)
-        radices.append(radix)
-    del digits
-    rest = bound
-    for word, radix in zip(words, radices):
-        word -= rest % radix
-        rest //= radix
-    out = np.zeros(n + 1, object)
-    values = out[lo + 1 :]  # a view: Horner's rule runs on out itself
-    values[:] = words[-1]
-    for word, radix in zip(words[-2::-1], radices[-2::-1]):
-        values *= radix
-        values += word
-    return out
+    bound = pa[1] * pb[1] * s2
+    primes = crt.primes_for(n, bound)
+    return None if primes is None else (bound, primes)
 
 
 def _product(pa, pb, n: int, lo: int = 0) -> np.ndarray:
     """The product of two operands on lo+1..n, zero on 0..lo, exact on one kernel.
 
-    The int64 kernel when the gate passes.  Else the kernel modulo k primes
-    with a CRT rebuild (:func:`_convolve_crt`) when k <= _CRT_MAX_PRIMES
-    and both operands have more than 2 * isqrt(n) nonzero values, and
+    The int64 kernel when the gate passes.  Else the kernel modulo a few
+    primes with a CRT rebuild when :func:`_crt_plan` finds them, and
     otherwise the kernel over ``object`` with the sparser operand (`pa` on
     a tie) as a, cut after its last nonzero value: its zeros skip their
     row passes, and its zero tail every column pass.  The cast keeps int64
     operands past the gate out of the int64 accumulator.
     """
-    (arr_a, max_a), (arr_b, max_b) = pa, pb
-    # the gate alone would pass an object operand beside an all-zero one, at max 0
-    if object not in (arr_a.dtype, arr_b.dtype) and kernels.convolution_fits_i64(max_a, max_b, n):
-        return kernels.convolve_i64(arr_a, arr_b, lo)
+    if _fits(pa, pb, n):
+        return kernels.convolve_i64(pa[0], pb[0], lo)
+    if plan := _crt_plan(pa, pb, n):
+        from . import crt
+
+        return crt.product(pa, pb, n, *plan, lo)
+    (arr_a, _), (arr_b, _) = pa, pb
     nz_a, nz_b = np.flatnonzero(arr_a), np.flatnonzero(arr_b)
     if nz_b.size < nz_a.size:
         arr_a, nz_a, arr_b = arr_b, nz_b, arr_a
-    if nz_a.size > 2 * math.isqrt(n):
-        bound = max_a * max_b * 2 * math.isqrt(n)
-        if (primes := _crt_primes(n, bound)) is not None:
-            return _convolve_crt(pa, pb, n, bound, primes, lo)
     end = int(nz_a[-1]) + 1 if nz_a.size else 1
     return kernels.convolve_i64(arr_a[:end].astype(object), arr_b, lo)
 
@@ -609,6 +546,48 @@ def _divide_solve(a: Sequence, b: Sequence, n: int, lead_idx: int, domain: Domai
 _HEAD = 16
 
 
+def _residue_block(a, pa, pb, lead: int, lo: int, r: int):
+    """One block of :func:`_block_solve` in residues: (q, bad), or None.
+
+    `a` is the dividend on the block lo+1..top, and the operands pa = rest
+    and pb = g give `below` from lo.  None unless their product takes the
+    CRT (:func:`_crt_plan`).  `a` enters as int64 limbs
+    (:func:`arithring.crt.to_limbs`).  The residual a - below is at most B
+    = max|a| + the product's bound in size; None when B needs more than
+    ``crt.MAX_PRIMES`` primes or one of them divides the lead.
+    """
+    top = len(pb[0]) - 1
+    if (plan := _crt_plan(pa, pb, top)) is None:
+        return None
+    from . import crt
+
+    limbs = crt.to_limbs(a)
+    bound = _limbs_peak(limbs) + plan[0]
+    primes = crt.primes_for(top, bound)
+    if primes is None or any(lead % p == 0 for p in primes):
+        return None
+    return crt.solve_block(limbs, pa[0], pb[0], lead, lo, r, bound, primes)
+
+
+def _product_block(a, pa, pb, lead: int, lo: int, r: int):
+    """One block of :func:`_block_solve` on the exact product: (q, bad).
+
+    `below` is the product of pa and pb from lo on one of its routes;
+    the residual a - below must be 0 at each non-multiple of r, and at k =
+    r j, g(j) is its quotient by the lead, with no remainder.
+    """
+    below = _product(pa, pb, len(pb[0]) - 1, lo)
+    res = _combine((a, 1), (below[lo + 1 :], -1))
+    at = res[-(lo + 1) % r :: r]  # at the multiples of r in the block
+    if lead >> 63 not in (0, -1):
+        at = at.astype(object)
+    # a +-1 lead skips the % and rem != 0 passes: a 41-bit inverse at N = 8e4 saves 5-8 %
+    q, rem = (_combine((at, lead)), 0) if lead in (1, -1) else (at // lead, at % lead)
+    bad = res != 0 if r > 1 else np.zeros(len(res), bool)  # r = 1: only multiples
+    bad[-(lo + 1) % r :: r] = rem != 0
+    return q, bad
+
+
 def _block_solve(a: np.ndarray, b: np.ndarray, n: int, r: int):
     """Solve b * g = a over Z for 1-indexed arrays, b of rank r, in blocks.
 
@@ -617,9 +596,18 @@ def _block_solve(a: np.ndarray, b: np.ndarray, n: int, r: int):
     without b(r) and g(1..m), from lo = c, gives the residual a - (b - b(r)
     nu_r) * g on the whole block (c, (r + 1)(m + 1) - 1].  It must be 0 at
     each non-multiple of r; at k = r j, dividing it by b(r) gives g(j).
-    The first index where either test fails is the witness, as in
-    :func:`_divide_solve`, which solves the first min(n, _HEAD r^2)
-    indices.  At r = 1 the blocks are (c, 2c + 1].
+    A block whose product would take the CRT is solved in residues
+    (:func:`_residue_block`), with no big-int product, residual or
+    division.  With |R| <= B for its residual R, and primes whose product
+    P exceeds 2 B: at a non-multiple, R = 0 exactly when R is 0 mod every
+    prime.  At k = r j, let y in [0, P) be R / b(r) + T mod every prime,
+    T = B // |b(r)|.  Then b(r) divides R exactly when y <= 2 T, and g(j)
+    = y - T: if b(r) q = R, then |q| <= T and y = q + T; if y <= 2 T,
+    then b(r) (y - T) and R agree mod P and are at most B < P / 2 in
+    size, so they are equal.  Any other block takes the exact product
+    (:func:`_product_block`).  The first index where either test fails is
+    the witness, as in :func:`_divide_solve`, which solves the first
+    min(n, _HEAD r^2) indices.  At r = 1 the blocks are (c, 2c + 1].
     """
     c = min(n, _HEAD * r * r)
     q, witness = _divide_solve(a[1 : c + 1].tolist(), b[1 : c + 1].tolist(), c, r, Domain.Z)
@@ -638,15 +626,8 @@ def _block_solve(a: np.ndarray, b: np.ndarray, n: int, r: int):
         if c == n:
             return g, None
         top = min((r + 1) * (m + 1) - 1, n)
-        below = _product((rest[: top + 1], widest), (g[: top + 1], peak), top, c)
-        res = _combine((a[c + 1 : top + 1], 1), (below[c + 1 :], -1))
-        at = res[-(c + 1) % r :: r]  # at the multiples r (m + 1), ..., r (top // r)
-        if lead >> 63 not in (0, -1):
-            at = at.astype(object)
-        # a +-1 lead skips the % and rem != 0 passes: a 41-bit inverse at N = 8e4 saves 5-8 %
-        q, rem = (_combine((at, lead)), 0) if lead in (1, -1) else (at // lead, at % lead)
-        bad = res != 0 if r > 1 else np.zeros(len(res), bool)  # r = 1: only multiples
-        bad[-(c + 1) % r :: r] = rem != 0
+        block = a[c + 1 : top + 1], (rest[: top + 1], widest), (g[: top + 1], peak), lead, c, r
+        q, bad = _residue_block(*block) or _product_block(*block)
         if (wrong := np.flatnonzero(bad)).size:
             return None, c + 1 + int(wrong[0])
         c = top
@@ -657,7 +638,8 @@ def _solve(a: ArithFunc, b: ArithFunc):
 
     b has rank r and lead B(r) at the common bound, or NoVisibleRank.  An
     operand storing Fractions takes the Fraction solve on its values, else
-    :func:`_block_solve` runs over Z on a = A / L_a and b = B / L_b.  Over Q
+    :func:`_block_solve` runs over Z on a = A / L_a and b = B / L_b, each
+    block in residues modulo a few primes or on one exact product.  Over Q
     with |B(r)| != 1 it divides s A by B, s = |B(r)|^K: q(m) reads q(m')
     only for m' <= min(m - 1, rm / (r + 1)), so with K the longest such
     chain from N / r every division by B(r) is exact, and a residual at a

@@ -121,6 +121,18 @@ class TestOracleAgreement:
     def test_build_deterministic(self):
         assert build("sigma_2", 500) == build("sigma_2", 500)
 
+    def test_bad_domain_tag_raises_before_any_kernel_call(self, monkeypatch):
+        calls = []
+        for name in ("primes_mask", "_multiplicative", "sigma_i64", "mobius_i64", "phi_i64"):
+            kernel = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name,
+                                lambda *args, k=kernel: calls.append(args) or k(*args))
+        for name in ("sigma_2", "mobius", "euler_phi", "prime_char", "sigma_40", "id_3"):
+            with pytest.raises(ValueError, match="'X' is not a valid Domain"):
+                build(name, 2 * 10**6, "X")
+        assert calls == []
+        assert build("mobius", 10, "Z") == build("mobius", 10, Z) and calls
+
 
 class TestOverflowGateEdges:
     """sigma_k and id_k on each side of the 2^62 gate: n^k * 2 isqrt(n) and n^k."""

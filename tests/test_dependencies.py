@@ -71,6 +71,24 @@ def test_integer_routes_never_load_numpy(case):
     assert out == "False\n"
 
 
+# int64 products and solves, then one product and one division past the gate
+CRT_ON_DEMAND = """
+import sys
+from arithring import Domain, build, convolve, divide, inverse, make
+one, mu = build("one", 3000), build("mobius", 3000)
+assert inverse(one) == mu and divide(convolve(one, mu), one).quotient == mu
+before = "arithring.crt" in sys.modules
+f = make([(m * 7919 % 1009 - 504) << 40 for m in range(1, 3001)], Domain.Z)
+h = convolve(f, f)
+assert divide(h, f).quotient == f
+print(before, "arithring.crt" in sys.modules)
+"""
+
+
+def test_crt_loads_on_the_first_product_past_the_gate():
+    assert run_fresh(CRT_ON_DEMAND) == "False True\n"
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from arithring import *", namespace)

@@ -1,12 +1,14 @@
 """Exact products and block solves on the int64 kernel, against the loops.
 
 Past the int64 gate, ``ring._product`` rebuilds a product of two dense
-operands from its residues modulo a few primes (``_convolve_crt``), and
+operands from its residues modulo a few primes (``crt.product``), and
 otherwise runs the kernel over ``object``; a division over Z by a divisor
-of any rank r is solved in blocks (``_block_solve``), each block one such
-product, past a short sequential head.  The oracles are conftest's
-divisor-pair loop ``exact_convolution`` and the sequential solve
-``_divide_solve``.  Values and witnesses must be identical.
+of any rank r is solved in blocks (``_block_solve``), past a short
+sequential head.  A block whose product would take the CRT is solved in
+residues (``_residue_block``), any other on one such product.  The
+oracles are conftest's divisor-pair loop ``exact_convolution`` and the
+sequential solve ``_divide_solve``.  Values and witnesses must be
+identical.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from arithring import (
     nu,
     scale,
 )
-from arithring import kernels, numutil, ring
+from arithring import crt, kernels, numutil, ring
 
 from conftest import (
     PRIME_POWER_VALUES,
@@ -57,16 +59,16 @@ def _routes(calls) -> list:
     return [(b.shape[0] - 1, a.dtype) for a, b, _ in calls]
 
 
-def _spy(monkeypatch, name: str) -> list:
-    """Record the arguments of each call to the ring function `name`."""
+def _spy(monkeypatch, name: str, module=ring) -> list:
+    """Record the arguments of each call to the function `name` of `module`."""
     seen = []
-    fn = getattr(ring, name)
+    fn = getattr(module, name)
 
     def spy(*args):
         seen.append(args)
         return fn(*args)
 
-    monkeypatch.setattr(ring, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return seen
 
 
@@ -82,11 +84,11 @@ def _at(arr, lo=0) -> tuple:
 
 
 def _crt(a, b, n, bound, lo=0):
-    """ring._convolve_crt on the primes `bound` needs, past _CRT_MAX_PRIMES too."""
+    """crt.product on the primes `bound` needs, past crt.MAX_PRIMES too."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring, "_CRT_MAX_PRIMES", 64)
-        primes = ring._crt_primes(n, bound)
-    return _at(ring._convolve_crt(_operand(a), _operand(b), n, bound, primes, lo), lo)
+        mp.setattr(crt, "MAX_PRIMES", 64)
+        primes = crt.primes_for(n, bound)
+    return _at(crt.product(_operand(a), _operand(b), n, bound, primes, lo), lo)
 
 
 def _convolve_z(a, b, n, lo=0) -> tuple:
@@ -111,9 +113,9 @@ def _dense(a, b, n) -> bool:
 
 
 def _cap(n: int) -> list:
-    """The _CRT_MAX_PRIMES primes the CRT may take at bound n."""
+    """The crt.MAX_PRIMES primes the CRT may take at bound n."""
     h = (62 - (2 * math.isqrt(n)).bit_length()) // 2
-    return [ring._crt_prime(h, i) for i in range(ring._CRT_MAX_PRIMES)]
+    return [crt.prime(h, i) for i in range(crt.MAX_PRIMES)]
 
 
 @st.composite
@@ -145,7 +147,7 @@ I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
 
 @pytest.mark.parametrize("n", [1, 80_000, 10**6])
 def test_residue_matches_python_mod(n):
-    """ring._residue is Python's % for every CRT prime at n, on int64 and
+    """crt.residue is Python's % for every CRT prime at n, on int64 and
     object arrays, at the int64 extremes, 0, +-1, multiples of p and p +- 1."""
     for p in _cap(n):
         # below -2**63 + p the product (x // p) * p leaves int64 and wraps
@@ -155,7 +157,7 @@ def test_residue_matches_python_mod(n):
               I64_MIN + p - 1, I64_MAX - p + 1]
         want = [x % p for x in xs]
         for arr in (np.array(xs, np.int64), np.array(xs, object)):
-            got = ring._residue(arr, p)
+            got = crt.residue(arr, p)
             assert got.dtype == np.int64 and got.tolist() == want, p
 
 
@@ -166,8 +168,8 @@ def test_crt_result_that_fits_is_stored_as_int64():
     a = [1 << 28] * n  # gate bound 2**56 * 2 * isqrt(n) = 2**62 fails
     bound = _gate_bound(a, a, n)
     assert not kernels.convolution_fits_i64(1 << 28, 1 << 28, n)
-    primes = ring._crt_primes(n, bound)
-    out = ring._convolve_crt(_operand(a), _operand(a), n, bound, primes, lo)
+    primes = crt.primes_for(n, bound)
+    out = crt.product(_operand(a), _operand(a), n, bound, primes, lo)
     assert _at(out, lo) == exact_convolution(a, a, n, 0, lo)
     f = ring.ArithFunc(Z, out, 1)
     assert f._num.dtype == np.int64
@@ -210,7 +212,7 @@ def test_int64_gate_edge(n, kernel_inputs):
         if takes_kernel:
             assert _routes(kernel_inputs) == [(n, np.int64)]
         else:  # a dense product takes the CRT: one call per prime
-            primes = ring._crt_primes(n, big * s2)
+            primes = crt.primes_for(n, big * s2)
             assert _dense(a, b, n) == (n > 1)
             want = [(n, np.int64)] * len(primes) if n > 1 else [(n, object)]
             assert _routes(kernel_inputs) == want
@@ -218,8 +220,8 @@ def test_int64_gate_edge(n, kernel_inputs):
 
 
 @pytest.mark.parametrize("extreme", [(1 << 63) - 1, -(1 << 63), 1 << 63, -(1 << 63) - 1])
-@pytest.mark.parametrize("n, crt", [(1024, True), (6, False)])
-def test_int64_edge_values(extreme, n, crt, kernel_inputs):
+@pytest.mark.parametrize("n, via_crt", [(1024, True), (6, False)])
+def test_int64_edge_values(extreme, n, via_crt, kernel_inputs):
     """The int64 extremes pack as int64 and the values past them as object;
     all fail the gate and take the CRT (dense, n = 1024) or the object kernel
     (n = 6, where b has 2 isqrt(6) = 4 nonzero values)."""
@@ -229,9 +231,9 @@ def test_int64_edge_values(extreme, n, crt, kernel_inputs):
     assert ring._pack(a).dtype == (np.int64 if fits else object)
     got = _convolve_z(a, b, n)
     assert got == exact_convolution(a, b, n, 0)
-    k = len(ring._crt_primes(n, _gate_bound(a, b, n)))
-    assert _dense(a, b, n) == crt
-    assert _routes(kernel_inputs) == ([(n, np.int64)] * k if crt else [(n, object)])
+    k = len(crt.primes_for(n, _gate_bound(a, b, n)))
+    assert _dense(a, b, n) == via_crt
+    assert _routes(kernel_inputs) == ([(n, np.int64)] * k if via_crt else [(n, object)])
 
 
 def test_zero_beside_a_wide_operand_skips_the_kernel(kernel_inputs):
@@ -255,7 +257,7 @@ def test_prime_count_steps(n, k):
     """
     top = math.prod(_cap(n)[:k])
     for bound, count in (((top - 1) // 2, k), ((top + 1) // 2, k + 1)):
-        assert len(ring._crt_primes(n, bound)) == count
+        assert len(crt.primes_for(n, bound)) == count
         a = [bound] + [0] * (n - 1)
         b = [(1, -1, 0)[m % 3] for m in range(n)]
         got = _crt(a, b, n, bound)
@@ -264,21 +266,21 @@ def test_prime_count_steps(n, k):
 
 
 def test_prime_cap(kernel_inputs):
-    """The table stops at _CRT_MAX_PRIMES: a dense product whose bound needs
+    """The table stops at crt.MAX_PRIMES: a dense product whose bound needs
     that many primes (8) takes the CRT, one that needs 9 the object kernel."""
     n = 64
-    assert ring._crt_primes(n, 1 << 2000) is None
+    assert crt.primes_for(n, 1 << 2000) is None
     cap = _cap(n)
     assert len(cap) == 8
     limit = math.prod(cap)
-    assert ring._crt_primes(n, (limit - 1) // 2) == cap
-    assert ring._crt_primes(n, (limit + 1) // 2) is None
+    assert crt.primes_for(n, (limit - 1) // 2) == cap
+    assert crt.primes_for(n, (limit + 1) // 2) is None
     s2 = 2 * math.isqrt(n)
     b = [1, -1, 1, 1] * (n // 4)
     # bound = top * s2: 2 * bound < limit at the cap, 2 * bound > limit past it
     for top, k in ((limit // (2 * s2), len(cap)), (limit // (2 * s2) + 1, 0)):
         a = [top, 3, -5, 7] * (n // 4)
-        assert len(ring._crt_primes(n, _gate_bound(a, b, n)) or ()) == k
+        assert len(crt.primes_for(n, _gate_bound(a, b, n)) or ()) == k
         assert _convolve_z(a, b, n) == exact_convolution(a, b, n, 0)
         assert _routes(kernel_inputs) == ([(n, np.int64)] * k if k else [(n, object)])
         kernel_inputs.clear()
@@ -291,11 +293,11 @@ TABLE_NS = sorted({1, 2, 3, 10**9} | {v for j in range(1, 15) for v in (4**j - 1
 @pytest.mark.parametrize("n", TABLE_NS)
 def test_prime_table_is_sound(n):
     """Every chosen prime is a proven prime whose residue products pass the
-    gate, for bounds up to the largest within _CRT_MAX_PRIMES primes."""
+    gate, for bounds up to the largest within crt.MAX_PRIMES primes."""
     cap = math.prod(_cap(n))
-    assert ring._crt_primes(n, (cap + 1) // 2) is None
+    assert crt.primes_for(n, (cap + 1) // 2) is None
     for bound in (1 << 62, math.prod(_cap(n)[:-1]) // 2, (cap - 1) // 2):
-        primes = ring._crt_primes(n, bound)
+        primes = crt.primes_for(n, bound)
         assert len(set(primes)) == len(primes)
         assert math.prod(primes) > 2 * bound
         assert math.prod(primes[:-1]) <= 2 * bound
@@ -314,7 +316,7 @@ def test_sparse_crossover(kernel_inputs):
     for count in (s2, s2 + 1):
         sparse = [top - m if m % 5 == 0 and m < 5 * count else 0 for m in range(n)]
         assert n - sparse.count(0) == count
-        k = len(ring._crt_primes(n, _gate_bound(sparse, dense, n)))
+        k = len(crt.primes_for(n, _gate_bound(sparse, dense, n)))
         assert _convolve_z(dense, sparse, n) == exact_convolution(sparse, dense, n, 0)
         if count == s2:
             assert _routes(kernel_inputs) == [(n, object)]
@@ -441,29 +443,272 @@ def test_witness_at_every_block_edge(lead, n):
         assert _block_solve(a, b, n) == (None, at) == _oracle(a, b, n)
 
 
-def test_wide_blocks_take_the_crt(kernel_inputs, monkeypatch):
-    """Blocks past the gate are CRT products; the solve stays identical."""
-    crt = _spy(monkeypatch, "_convolve_crt")
+def _residue_steps(monkeypatch) -> list:
+    """The lo of each block that ring._residue_block solves; it returns None
+    on a block that takes the exact product."""
+    solved = []
+    step = ring._residue_block
+
+    def spy(*args):
+        out = step(*args)
+        if out is not None:
+            solved.append(args[4])
+        return out
+
+    monkeypatch.setattr(ring, "_residue_block", spy)
+    return solved
+
+
+def test_wide_blocks_take_the_crt(monkeypatch):
+    """Every block past the gate is solved in residues, with no product
+    rebuilt; the solve stays identical."""
+    steps = _residue_steps(monkeypatch)
+    products = _spy(monkeypatch, "_product")
     n = 2000
     b = [-5] + [(m * 7919 % 1000003 - 500000) << 24 for m in range(1, n)]
     q = [(m * 104729 % 999983 - 500000) << 20 for m in range(1, n + 1)]
     a = list(exact_convolution(b, q, n, 0))
     assert _block_solve(a, b, n) == (tuple(q), None) == _oracle(a, b, n)
-    assert crt and kernel_inputs
+    assert steps == _edges(n, 1)[:-1] and products == []
 
 
-def test_blocks_of_a_divisor_past_int64(kernel_inputs, monkeypatch):
-    """A divisor packed as object: its blocks take the CRT, witnesses included."""
-    crt = _spy(monkeypatch, "_convolve_crt")
+def test_blocks_of_a_divisor_past_int64(monkeypatch):
+    """A divisor packed as object: its blocks are solved in residues,
+    witnesses included."""
+    steps = _residue_steps(monkeypatch)
+    products = _spy(monkeypatch, "_product")
     n = 2000
     b = [3] + [(m * 7919 % 1000003 - 500000) << 60 for m in range(1, n)]
     q = [(m * 104729 % 999983 - 500000) << 8 for m in range(1, n + 1)]
     assert ring._pack(b).dtype == object
     a = list(exact_convolution(b, q, n, 0))
     assert _block_solve(a, b, n) == (tuple(q), None) == _oracle(a, b, n)
-    assert crt and kernel_inputs
+    assert steps == _edges(n, 1)[:-1] and products == []
+    steps.clear()
     a[1500] += 1
     assert _block_solve(a, b, n) == (None, 1501) == _oracle(a, b, n)
+    assert steps == [c for c in _edges(n, 1)[:-1] if c <= 1500] and products == []
+
+
+def _wide_case(n: int, lead: int, r: int = 1, shift: int = 20):
+    """(a, b, q): a dense exact rank-r division at bound n whose blocks fail
+    the int64 gate, b about 44 bits wide and q about 20 + shift bits."""
+    b = [0] * (r - 1) + [lead] + [(m * 7919 % 1000003 - 500000) << 24 for m in range(r, n)]
+    q = [(m * 104729 % 999983 - 500000) << shift for m in range(1, n // r + 1)]
+    q += [0] * (n - len(q))
+    return list(exact_convolution(b, q, n, 0)), b, q
+
+
+@pytest.mark.parametrize("top", [0, 61, 62, 63, 64, 123, 124, 125, 200])
+def test_limbs_match_python(top):
+    """An integer array as int64 limbs of 62 bits: they sum back to it, the
+    limbs below the top one lie in [0, 2**62), their peak bounds max |value|
+    (exactly for one limb) and their residues are Python's %."""
+    big = 1 << top
+    values = [0, 1, -1, big, -big, big - 1, 1 - big, big + 1, -big - 1,
+              (1 << 62) - 1, -(1 << 62), I64_MAX, I64_MIN]
+    arr = np.array([0, *values], object)
+    limbs = crt.to_limbs(arr)
+    assert all(limb.dtype == np.int64 for limb in limbs)
+    assert len(limbs) == 1 + (top >= 63) + (top >= 125) + (top >= 187)
+    assert all(limb.min() >= 0 and limb.max() < 1 << 62 for limb in limbs[:-1])
+    assert [sum(int(limb[j]) << 62 * i for i, limb in enumerate(limbs))
+            for j in range(len(arr))] == [0, *values]
+    for part in (values, [v for v in values if v > 0], [v for v in values if v < 0]):
+        peak, got = max(map(abs, part)), ring._limbs_peak(crt.to_limbs(np.array(part, object)))
+        assert got >= peak and (peak >> 63 or got == peak)
+    for p in _cap(80_000)[:3]:
+        assert crt.limbs_residue(limbs, p).tolist() == [0, *(v % p for v in values)]
+
+
+@pytest.mark.parametrize("shift", [48, 58])
+def test_no_object_division_while_the_quotient_fits(monkeypatch, shift):
+    """A block whose quotient fits int64 (2 T < 2**62) builds no product, no
+    object residual and no quotient by the lead: no _product, _combine or
+    crt.rebuild runs, and crt.residue reads int64 arrays alone.  b(2) =
+    2**shift puts every block past the gate and, at shift 58, the dividend
+    past int64, which enters as int64 limbs, once per block."""
+    n = 300
+    b = [(1 << 20) + 7, 1 << shift] + [m % 1001 - 500 for m in range(2, n)]
+    q = [(m * 104729 % 8191) - 4095 for m in range(n)]
+    a = ring._pack(list(exact_convolution(b, q, n, 0)))
+    assert a.dtype == (object if shift == 58 else np.int64)
+    spies = [_spy(monkeypatch, "_product"), _spy(monkeypatch, "_combine"),
+             _spy(monkeypatch, "rebuild", crt)]
+    steps = _residue_steps(monkeypatch)
+    residues = _spy(monkeypatch, "residue", crt)
+    limbs = _spy(monkeypatch, "to_limbs", crt)
+    got, witness = ring._block_solve(a, ring._pack(b), n, 1)
+    assert (_at(got), witness) == (tuple(q), None) and got.dtype == np.int64
+    assert steps == _edges(n, 1)[:-1] and spies == [[], [], []]
+    assert residues and all(arr.dtype == np.int64 for arr, _ in residues)
+    ends = _edges(n, 1)
+    assert [(len(arr), arr.dtype) for (arr,) in limbs] == [
+        (top - lo, a.dtype) for lo, top in zip(ends, ends[1:])]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("lead", [1, -1, 3, -3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_residue_rule_at_its_bound(k, lead, r):
+    """crt.solve_block at the largest bound k primes allow, B = (P - 1) // 2,
+    against exact division.  Residuals of exactly +-B and quotients of
+    exactly +-T, T = B // |lead|, at the window's edges y = 2 T and y = 0,
+    are taken; lead (T + 1) - P and P - lead (T + 1), which have y = 2 T + 1
+    and y = P - 1, and B - 1 are flagged unless lead divides them, as is
+    +-B at a non-multiple of r.  k = 2 rebuilds q in int64, k = 3 on object."""
+    top, lo = 63, 31
+    primes = _cap(top)[:k]
+    big = math.prod(primes)
+    bound = (big - 1) // 2
+    t, sign = bound // abs(lead), (1 if lead > 0 else -1)
+    assert crt.primes_for(top, bound) == primes and (2 * t < 1 << 62) == (k == 2)
+    rest = [0] + [(m * 7919 % 1009 - 504) << 30 for m in range(1, top)]
+    g = [m * 104729 % 1013 - 506 for m in range(1, lo // r + 1)] + [0] * (top - lo // r)
+    at_multiple = itertools.cycle((
+        bound, -bound, lead * t, -lead * t, 0, bound - 1, 1 - bound,
+        lead * (t + 1) - sign * big, sign * big - lead * (t + 1)))
+    elsewhere = itertools.cycle((bound, -bound, 0))
+    residual = [next(elsewhere if k_ % r else at_multiple) for k_ in range(lo + 1, top + 1)]
+    assert max(map(abs, residual)) == bound
+    below = exact_convolution(rest, g, top, 0, lo)
+    a = np.array([x + y for x, y in zip(below, residual)], object)
+    q, bad = crt.solve_block(crt.to_limbs(a), ring._pack(rest), ring._pack(g), lead, lo, r,
+                                 bound, primes)
+    assert q.dtype == (np.int64 if k == 2 else object)
+    want = [divmod(v, lead) if k_ % r == 0 else (None, v)
+            for k_, v in zip(range(lo + 1, top + 1), residual)]
+    assert bad.tolist() == [rem != 0 for _, rem in want]
+    at = [(quo, rem) for quo, rem in want if quo is not None]
+    assert [v for v, (_, rem) in zip(q.tolist(), at) if rem == 0] == [
+        quo for quo, rem in at if rem == 0]
+    assert {t, -t} <= {quo for quo, rem in at if rem == 0}
+    if abs(lead) > 1:  # y = 2 T + 1 and y = P - 1 are refused
+        assert [rem != 0 for quo, rem in at][7:9] == [True] * 2
+
+
+@pytest.mark.parametrize("t, dtype", [((1 << 61) - 1, np.int64), (1 << 61, object)])
+def test_quotient_rebuild_gate_edge(t, dtype):
+    """q is rebuilt in int64 exactly when 2 T < 2**62: at T = 2**61 - 1 the
+    clamped Horner steps stay in int64, with quotients of +-T and residuals
+    of +-B; at T = 2**61 on object, with the same verdicts."""
+    top, lo, lead = 63, 31, 3
+    bound = lead * t + 2
+    primes = crt.primes_for(top, bound)
+    assert bound // lead == t
+    rest = [0] + [(m * 7919 % 1009 - 504) << 30 for m in range(1, top)]
+    g = [m * 104729 % 1013 - 506 for m in range(1, lo + 1)] + [0] * (top - lo)
+    cases = itertools.cycle((lead * t, -lead * t, bound, -bound, 0, bound - 1, lead * (t - 7)))
+    residual = [next(cases) for _ in range(top - lo)]
+    assert max(abs(v) for v in residual) == bound
+    below = exact_convolution(rest, g, top, 0, lo)
+    a = np.array([x + y for x, y in zip(below, residual)], object)
+    q, bad = crt.solve_block(crt.to_limbs(a), ring._pack(rest), ring._pack(g), lead, lo, 1,
+                                 bound, primes)
+    want = [divmod(v, lead) for v in residual]
+    assert q.dtype == dtype and bad.tolist() == [rem != 0 for _, rem in want]
+    assert [v for v, (_, rem) in zip(q.tolist(), want) if not rem] == [
+        quo for quo, rem in want if not rem]
+
+
+@pytest.mark.parametrize("r, n", [(2, 400), (3, 700)])
+def test_residual_a_multiple_of_one_crt_prime(monkeypatch, r, n):
+    """A residual at a non-multiple of r that one CRT prime (or all but the
+    last) divides is nonzero mod another prime: it is the witness."""
+    a, b, q = _wide_case(n, -3, r)
+    solves = _spy(monkeypatch, "solve_block", crt)
+    assert _block_solve(a, b, n, r) == (tuple(q), None)
+    blocks = [(s[4], s[4] + len(s[0]), s[7]) for s in solves]
+    assert [lo for lo, *_ in blocks] == _edges(n, r)[:-1]
+    for lo, top, primes in (blocks[0], blocks[-1]):
+        k = next(k for k in range(top, lo, -1) if k % r)
+        for extra in (primes[0], -primes[0], math.prod(primes[:-1])):
+            bad = list(a)
+            bad[k - 1] += extra
+            assert _block_solve(bad, b, n, r) == (None, k) == _oracle(bad, b, n, r)
+
+
+def test_lead_sharing_a_crt_prime_falls_back(monkeypatch):
+    """A lead equal to the first CRT prime of the blocks at h = 28 sends them
+    to the exact product; the other blocks take residues; values and
+    witnesses stay the oracle's."""
+    n = 2000
+    lead = crt.prime(28, 0)
+    a, b, q = _wide_case(n, lead)
+    steps = _residue_steps(monkeypatch)
+    products = _spy(monkeypatch, "_product")
+    assert _block_solve(a, b, n) == (tuple(q), None) == _oracle(a, b, n)
+    ends = _edges(n, 1)
+    assert ends == [16, 33, 67, 135, 271, 543, 1087, 2000]
+    assert steps == [16, 543, 1087]
+    assert [(top, lo) for *_, top, lo in products] == [(67, 33), (135, 67), (271, 135), (543, 271)]
+    for at in (100, 1500):
+        bad = list(a)
+        bad[at - 1] += lead
+        bad[at] += 1
+        assert _block_solve(bad, b, n) == (None, at + 1) == _oracle(bad, b, n)
+
+
+def test_quotient_past_int64_takes_the_object_rebuild(monkeypatch):
+    """Quotients near 2**75 make 2 T pass 2**62: q is rebuilt on object, g
+    turns object, and values and witnesses stay the oracle's."""
+    n = 700
+    a, b, q = _wide_case(n, 3, shift=55)
+    rebuilds = _spy(monkeypatch, "rebuild", crt)
+    steps = _residue_steps(monkeypatch)
+    got, witness = ring._block_solve(ring._pack(a), ring._pack(b), n, 1)
+    assert (_at(got), witness) == (tuple(q), None) == _oracle(a, b, n)
+    assert got.dtype == object and steps == _edges(n, 1)[:-1] and len(rebuilds) == len(steps)
+    a[600] += 1
+    assert _block_solve(a, b, n) == (None, 601) == _oracle(a, b, n)
+
+
+@pytest.mark.parametrize("lead", [-5, 3, (1 << 40) + 15])
+def test_witness_in_the_first_and_last_crt_block(monkeypatch, lead):
+    """A remainder at either end of the first block past the head, or at the
+    last two indices, is the witness; a change by the lead divides and
+    moves the witness to where the oracle finds it."""
+    n = 2000
+    a, b, q = _wide_case(n, lead)
+    steps = _residue_steps(monkeypatch)
+    assert _block_solve(a, b, n) == (tuple(q), None)
+    assert steps == _edges(n, 1)[:-1]
+    for at in (17, 33, n - 1, n):
+        for extra in (1, -1, lead):
+            bad = list(a)
+            bad[at - 1] += extra
+            want = _oracle(bad, b, n)
+            assert _block_solve(bad, b, n) == want
+            assert want[1] == at or extra == lead
+
+
+@st.composite
+def wide_rank_r_divisions(draw):
+    """(a, b, n, r): a = b * q at rank r in 1..5, with dense values of 20 to
+    90 bits and a lead of +-1, +-3 or +-(2**40 + 15), perhaps off at a
+    block edge."""
+    r = draw(st.integers(1, 5))
+    head = ring._HEAD * r * r
+    n = draw(st.integers(head + 1, head + 300))
+    lead = draw(st.sampled_from((1, -1, 3, -3, (1 << 40) + 15, -(1 << 40) - 15)))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    # widths whose sums fall on both sides of the gate and of 2 T = 2**62
+    bits_b, bits_q = (draw(st.sampled_from((20, 30, 45, 60, 90))) for _ in range(2))
+    b = [0] * (r - 1) + [lead] + [rng.randint(-(1 << bits_b), 1 << bits_b) for _ in range(r, n)]
+    q = [rng.randint(-(1 << bits_q), 1 << bits_q) for _ in range(n // r)] + [0] * (n - n // r)
+    a = list(exact_convolution(b, q, n, 0))
+    ends = _edges(n, r)
+    if draw(st.booleans()):
+        at = draw(st.sampled_from(sorted({*ends, *(c + 1 for c in ends if c < n), n})))
+        a[at - 1] += draw(st.sampled_from((1, -1, lead, (1 << 61) - 1)))
+    return a, b, n, r
+
+
+@given(wide_rank_r_divisions())
+@settings(max_examples=60, deadline=None)
+def test_wide_block_solve_matches_the_sequential_solve(case):
+    a, b, n, r = case
+    assert _block_solve(a, b, n, r) == _oracle(a, b, n, r)
 
 
 def test_block_solve_packs_its_divisor_once(monkeypatch):
@@ -487,16 +732,18 @@ def test_block_solve_packs_its_divisor_once(monkeypatch):
 
 def test_block_quotient_stays_int64_while_it_fits(monkeypatch):
     """Object residuals whose quotients fit leave g int64, so every block's
-    product reads g as int64 and its residues cost one C-level pass."""
+    residue step reads g as int64 and its residues cost one C-level pass."""
     n = 300
     b = [3] + [(m * 7919 % 1009 - 500) << 40 for m in range(1, n)]
     q = [(m * 104729 % 1013 - 500) << 20 for m in range(1, n + 1)]
     a = ring._pack(list(exact_convolution(b, q, n, 0)))
     assert a.dtype == object
-    products = _spy(monkeypatch, "_product")
+    steps = _residue_steps(monkeypatch)
+    solves = _spy(monkeypatch, "solve_block", crt)
     got, witness = ring._block_solve(a, ring._pack(b), n, 1)
     assert (_at(got), witness) == (tuple(q), None) and got.dtype == np.int64
-    assert products and all(g.dtype == np.int64 for _, (g, _), *_ in products)
+    assert steps == _edges(n, 1)[:-1]
+    assert all(g.dtype == np.int64 for _, _, g, *_ in solves)
 
 
 @stores
@@ -704,6 +951,36 @@ def test_add_and_scale_agree_across_backends(domain, data):
                           ((F.astype(object), G.astype(object)), object)):
         got = ring._combine((A, c), (B, -1))
         assert got.dtype == dtype and got[0] == 0 and got[1:].tolist() == want
+
+
+class _Counted(int):
+    """An int that records each product it takes part in."""
+
+    products: list = []
+
+    def __mul__(self, other):
+        _Counted.products.append((int(self), other))
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def test_combine_subtracts_and_shares_object_operands():
+    """A -1 term is one subtraction, with no product by -1; a lone object
+    term with c = 1 is returned as it is, so scale(f, 1) shares f's store,
+    as an int64 one does; an int64 term beside an object one is cast."""
+    x = np.array([0, *map(_Counted, (1 << 70, -3, 5))], object)
+    y = np.array([0, *map(_Counted, (2, 1 << 65, -7))], object)
+    _Counted.products.clear()
+    got = ring._combine((x, 1), (y, -1))
+    assert got.tolist() == [0, (1 << 70) - 2, -3 - (1 << 65), 12] and _Counted.products == []
+    assert ring._combine((x, 1)) is x and _Counted.products == []
+    assert ring._combine((x, 2), (y, -1)).tolist() == [0, (1 << 71) - 2, -6 - (1 << 65), 17]
+    assert len(_Counted.products) == 3
+    small = np.array([0, 4, 5, 6], np.int64)
+    assert ring._combine((small, 1), (y, -1)).tolist() == [0, 2, 5 - (1 << 65), 13]
+    for f in (make([1 << 70, 3], Z), make([1, 3], Z), make(["1/3", 1 << 70], Q)):
+        assert scale(f, 1)._num is f._num and scale(f, 1) == f
 
 
 BUILD_NAMES = ("one", "epsilon", "mobius", "euler_phi", "tau", "liouville_lambda",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from arithring import Domain, build, convolve, make
-from arithring import kernels, ring
+from arithring import crt, kernels, ring
 from conftest import (
     PRIME_POWER_VALUES,
     exact_convolution,
@@ -219,7 +219,7 @@ def test_out_of_gate_values_fall_back_to_exact(extreme, kernel_inputs):
     g = make([2, 3, 0, -4, 1, 1], Domain.Z)
     got = convolve(f, g)
     # past the gate and both dense: one int64 kernel call per CRT prime, on residues
-    primes = ring._crt_primes(6, (1 << 63) * 4 * 2 * math.isqrt(6))
+    primes = crt.primes_for(6, (1 << 63) * 4 * 2 * math.isqrt(6))
     assert len(kernel_inputs) == len(primes)
     for (a, b, _), p in zip(kernel_inputs, primes):
         assert a.dtype == b.dtype == np.int64 and 0 <= min(a.min(), b.min())

@@ -35,7 +35,7 @@ from arithring import (
     rank,
     scale,
 )
-from arithring import kernels, ring
+from arithring import crt, kernels, ring
 
 from conftest import WIDE, exact_convolution, stores, widen
 
@@ -285,7 +285,7 @@ def test_large_denominators_fail_the_gate(kernel_calls):
     g = make([Fraction(1, dens[-1])] + [Fraction(k % 5, dens[1]) for k in range(59)], Q)
     (F, max_f), (G, max_g) = ring._operand(f._num), ring._operand(g._num)
     assert not kernels.convolution_fits_i64(max_f, max_g, 60)
-    primes = ring._crt_primes(60, max_f * max_g * 2 * math.isqrt(60))
+    primes = crt.primes_for(60, max_f * max_g * 2 * math.isqrt(60))
     got = convolve(f, g)
     assert kernel_calls == [60] * len(primes) == [60] * 3
     assert got.values == exact_convolution(f.values, g.values, 60, Fraction(0))

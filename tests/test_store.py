@@ -38,7 +38,7 @@ from arithring import (
     scale,
     verify_factorization,
 )
-from arithring import ring
+from arithring import crt, ring
 from arithring.classical import _first_mismatch
 from arithring.ring import NotInDomain, with_domain
 
@@ -272,19 +272,19 @@ def test_int64_edges_through_every_operation(edge, domain):
 
 def test_crt_and_loop_results_that_fit_are_int64(monkeypatch):
     """Past the gate the product may still fit int64; then it is stored as int64."""
-    crt = []
-    real = ring._convolve_crt
-    monkeypatch.setattr(ring, "_convolve_crt", lambda *args: crt.append(args) or real(*args))
+    calls = []
+    real = crt.product
+    monkeypatch.setattr(crt, "product", lambda *args: calls.append(args) or real(*args))
     n = 1024
     a = make([1 << 28] * n, Z)  # gate bound 2**56 * 2 * isqrt(n) = 2**62 fails
     dense = convolve(a, a)
-    assert crt and dense._num.dtype == np.int64
+    assert calls and dense._num.dtype == np.int64
     assert dense == make([(1 << 56) * t for t in build("tau", n, Z).values], Z)
-    crt.clear()
+    calls.clear()
     b = make([1 << 62] * 6, Z)
     step = make([1, -1, 0, 0, 0, 0], Z)  # sparse: the loop runs
     looped = convolve(b, step)
-    assert not crt and looped._num.dtype == np.int64
+    assert not calls and looped._num.dtype == np.int64
     assert looped.values == (1 << 62, 0, 1 << 62, 0, 1 << 62, 0)
 
 
@@ -300,9 +300,9 @@ def test_routes_and_backends_reach_one_store():
         g = make([-1] + [(m * 104729 % 1013 - 500) << shift // 2 for m in range(1, n)], Z)
         F, G = ring._operand(f._num), ring._operand(g._num)
         bound = F[1] * G[1] * 2 * math.isqrt(n)
-        crt = ring._convolve_crt(F, G, n, bound, ring._crt_primes(n, bound), 0)
+        rebuilt = crt.product(F, G, n, bound, crt.primes_for(n, bound), 0)
         h = convolve(f, g)
-        products = [h, convolve(g, f), make(h.values, Z), ArithFunc(Z, crt, 1),
+        products = [h, convolve(g, f), make(h.values, Z), ArithFunc(Z, rebuilt, 1),
                     make(exact_convolution(f.values, g.values, n, 0), Z), inverse(inverse(h))]
         quotients = [
             (divide(h, a).quotient, make(ring._divide_solve(h.values, a.values, n, 1, Z)[0], Z), b)
