@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -35,8 +36,9 @@ from . import numutil
 # root below psi_12 in about root^(1/4) rho steps.  Raise it only as far as
 # lattice_report on the root with the most divisors under the new limit is
 # measured to finish in about a second.  Below 10^18 that root is
-# 897612484786617600, with 103680 divisors: its report takes 0.15 s in
-# process on a 2-vCPU x86 host (0.3-0.5 s as a fresh `lattice-report`).
+# 897612484786617600, with 103680 divisors: its report takes 40-45 ms in
+# process on a shared 2-vCPU x86 host (0.15-0.18 s and 34 MB as a fresh
+# `lattice-report`).
 DEFAULT_ROOT_LIMIT = 10**18
 
 
@@ -91,6 +93,7 @@ class ChainCover:
 
 def co_ideal(a: int, root_limit: int = DEFAULT_ROOT_LIMIT) -> DivisorPoset:
     """The divisor poset of a: every divisor and its atoms, from one factorization."""
+    a = operator.index(a)
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     if a > root_limit:
@@ -126,10 +129,13 @@ def chain_cover(poset: DivisorPoset) -> ChainCover:
     de Bruijn-Tengbergen-Kruyswijk construction builds a symmetric chain
     decomposition one prime power at a time: a chain c_0 < ... < c_k times
     the powers 1, p, ..., p^e splits into min(k, e) + 1 hooks, hook j being
-    c_0 p^j, ..., c_{k-j} p^j, c_{k-j} p^(j+1), ..., c_{k-j} p^e.  Every chain
-    runs from rank r_0 to R - r_0, so each one meets the middle rank
-    floor(R / 2) exactly once; those middle elements form an antichain as
-    large as the number of chains, which proves the partition minimum.
+    c_0 p^j, ..., c_{k-j} p^j, c_{k-j} p^(j+1), ..., c_{k-j} p^e.  Hook 0 is
+    the chain's own tuple with c_k p, ..., c_k p^e appended; each later hook
+    is one list, c_0 ... c_{k-j-1} times p^j and then c_{k-j} times p^j,
+    ..., p^e, made a tuple.  Every chain runs from rank r_0 to R - r_0, so
+    each one meets the middle rank floor(R / 2) exactly once; those middle
+    elements form an antichain as large as the number of chains, which
+    proves the partition minimum.
     """
     chains = [(1,)]
     total = 0
@@ -143,11 +149,11 @@ def chain_cover(poset: DivisorPoset) -> ChainCover:
         hooks = []
         for chain in chains:
             k = len(chain) - 1
-            for j in range(min(k, e) + 1):
-                corner = chain[k - j]
+            hooks.append(chain + tuple([chain[k] * q for q in powers[1:]]))
+            for j in range(1, min(k, e) + 1):
+                pj, corner = powers[j], chain[k - j]
                 hooks.append(
-                    tuple(c * powers[j] for c in chain[: k - j + 1])
-                    + tuple(corner * q for q in powers[j + 1 :])
+                    tuple([c * pj for c in chain[: k - j]] + [corner * q for q in powers[j:]])
                 )
         chains = hooks
         total += e
@@ -226,6 +232,7 @@ def euclid_factorization(n: int) -> list[int]:
     Returns the ascending multiset of irreducible factors; raises
     ValueError for a part at or above psi_12 that cannot be proven prime.
     """
+    n = operator.index(n)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return numutil.prime_factors(n)
@@ -238,6 +245,7 @@ def prime_property_check(p: int, pairs: Iterable[tuple[int, int]]) -> bool:
     lemma without reading `pairs`.  A composite p, and a p >= psi_12 whose
     primality is unproven, is checked by scanning every pair.
     """
+    p = operator.index(p)
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
     if p < numutil.MR_PROOF_LIMIT and numutil.is_prime(p):
@@ -257,7 +265,7 @@ def lattice_report(a: int, root_limit: int = DEFAULT_ROOT_LIMIT) -> dict:
     poset = co_ideal(a, root_limit)
     cover = chain_cover(poset)
     return {
-        "a": a,
+        "a": poset.root,
         "elements": list(poset.elements),
         "atoms": list(poset.atoms),
         "width": cover.width,

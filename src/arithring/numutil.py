@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterator, Optional
 
 # Witnesses proving primality for every n < MR_PROOF_LIMIT (Sorenson &
@@ -143,6 +144,7 @@ def _prime_factors(n: int) -> Iterator[int]:
 
 def prime_factors(n: int) -> list[int]:
     """Ascending prime multiset of n >= 1 (empty for 1)."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return list(_prime_factors(n))
@@ -150,6 +152,7 @@ def prime_factors(n: int) -> list[int]:
 
 def smallest_prime_factor(n: int) -> int:
     """Least divisor of n greater than 1 (n itself when n is irreducible)."""
+    n = operator.index(n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     return next(_prime_factors(n))
@@ -168,12 +171,16 @@ def divisors(n: int) -> list[int]:
 def divisors_of(factorization: list[tuple[int, int]]) -> list[int]:
     """All divisors of p_1^e_1 ... p_k^e_k, given as [(p, e), ...], ascending.
 
-    Each prime multiplies the divisors found so far by p, e times over.
+    Each prime appends the runs D*p, ..., D*p^e to the ascending list D of
+    the divisors found so far.  Every run is ascending, so the one sort
+    that follows is a Timsort merge of e + 1 runs, and the list is
+    ascending again before the next prime.
     """
     divs = [1]
     for p, e in factorization:
-        new = divs
+        run = divs
         for _ in range(e):
-            new = [d * p for d in new]
-            divs += new
-    return sorted(divs)
+            run = [d * p for d in run]
+            divs += run
+        divs.sort()
+    return divs

@@ -7,7 +7,8 @@ valuation loop, antichains by testing every pair, poset width by
 exhaustive antichain enumeration or by bipartite matching, Hasse diagrams
 and lattice verdicts by checking every pair or triple, the prime property
 by scanning every pair, function output by one f-string per value.  The
-cover oracle checks a chain partition and its antichain certificate.
+cover oracle checks a chain partition and its antichain certificate, and
+the reference chain cover builds the same chains one element at a time.
 Expected values frozen into tests were computed with these.
 """
 
@@ -222,6 +223,39 @@ def validate_cover(poset, chains, antichain) -> None:
             f"Dilworth equality failed: {len(chains)} chains vs "
             f"{len(antichain)} antichain members"
         )
+
+
+def reference_chain_cover(poset) -> tuple[tuple, tuple]:
+    """(chains, antichain) of the symmetric chain decomposition, every hook
+    built element by element: hook j of a chain c_0 < ... < c_k is
+    c_0 p^j, ..., c_{k-j} p^j, c_{k-j} p^(j+1), ..., c_{k-j} p^e.  The
+    chains are sorted by first element, the antichain ascending."""
+    chains = [(1,)]
+    total = 0
+    rest = poset.root
+    for p in poset.atoms:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        powers = [p**i for i in range(e + 1)]
+        hooks = []
+        for chain in chains:
+            k = len(chain) - 1
+            for j in range(min(k, e) + 1):
+                corner = chain[k - j]
+                hooks.append(
+                    tuple(c * powers[j] for c in chain[: k - j + 1])
+                    + tuple(corner * q for q in powers[j + 1 :])
+                )
+        chains = hooks
+        total += e
+    chains.sort(key=lambda c: c[0])
+    # a chain of k + 1 elements starts at rank (total - k) / 2
+    antichain = tuple(
+        sorted(c[total // 2 - (total - len(c) + 1) // 2] for c in chains)
+    )
+    return tuple(chains), antichain
 
 
 def covering_pairs(elements: list[int]) -> list[tuple[int, int]]:

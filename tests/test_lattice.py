@@ -40,6 +40,7 @@ from conftest import (
     naive_divisor_list,
     pair_scan,
     pairwise_antichain,
+    reference_chain_cover,
     trial_division,
     validate_cover,
 )
@@ -100,6 +101,26 @@ class TestCoIdeal:
             co_ideal(0)
         with pytest.raises(ValueError):
             co_ideal(DEFAULT_ROOT_LIMIT * 10)
+
+    @pytest.mark.parametrize("a", [12.0, 12.5, 1e6])
+    def test_a_float_root_is_refused_before_factoring(self, a, monkeypatch):
+        def unfactored(n):
+            raise AssertionError(f"factored {n!r}")
+
+        monkeypatch.setattr(numutil, "factorize", unfactored)
+        with pytest.raises(TypeError):
+            co_ideal(a)
+        with pytest.raises(TypeError):
+            lattice_report(a)
+
+    @pytest.mark.parametrize("a", [12, 720720, 1000003 * 1000033])
+    def test_a_numpy_root_gives_the_int_roots_poset(self, a):
+        poset = co_ideal(np.int64(a))
+        assert poset == co_ideal(a)
+        assert type(poset.root) is int
+        assert all(type(x) is int for x in poset.elements + poset.atoms)
+        report = lattice_report(np.int64(a))
+        assert report == lattice_report(a) and type(report["a"]) is int
 
     def test_atoms_cover_one(self):
         for a in (30, 12, 64, 210, 9240):
@@ -246,6 +267,13 @@ class TestChainCover:
         assert len(chains) == len(antichain)
         with pytest.raises(AssertionError, match="antichain"):
             validate_cover(poset, chains, antichain)
+
+    def test_chains_match_the_reference(self):
+        # every root below 3000, then roots of 4320, 6720 and 103 680 divisors
+        for a in [*range(1, 3000), 686983096800, 963761198400, 897612484786617600]:
+            poset = co_ideal(a)
+            cover = chain_cover(poset)
+            assert (cover.chains, cover.antichain) == reference_chain_cover(poset), a
 
     def test_dilworth_equality_sampled_to_ten_thousand(self, rng):
         for _ in range(300):
@@ -442,6 +470,15 @@ class TestEuclidFactorization:
             with pytest.raises(ValueError):
                 euclid_factorization(n)
 
+    def test_numpy_and_float_inputs(self):
+        p, q = 1000003, 1000033
+        factors = euclid_factorization(np.int64(p * q))
+        assert factors == [p, q] and all(type(f) is int for f in factors)
+        assert euclid_factorization(np.uint16(360)) == [2, 2, 2, 3, 3, 5]
+        for n in (12.0, 1.5, 1e18):
+            with pytest.raises(TypeError):
+                euclid_factorization(n)
+
     def test_matches_trial_division_prefix(self):
         for n in range(2, 5000):
             assert euclid_factorization(n) == trial_division(n), n
@@ -486,6 +523,13 @@ class TestPrimeProperty:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             prime_property_check(1, [(2, 3)])
+
+    def test_p_must_be_an_integer(self):
+        assert prime_property_check(np.int64(7), [(14, 3)])
+        assert not prime_property_check(np.int64(6), [(4, 9)])
+        for p in (7.0, 6.5):
+            with pytest.raises(TypeError):
+                prime_property_check(p, [(4, 9)])
 
     def test_proven_prime_reads_no_pairs(self):
         def unread():

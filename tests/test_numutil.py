@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arithring import kernels, numutil
+from arithring import co_ideal, kernels, numutil
 
 from conftest import naive_divisor_list, naive_is_prime, trial_division
 
@@ -151,3 +153,69 @@ def test_factorize_and_divisors():
         assert numutil.divisors(n) == naive_divisor_list(n)
         flat = [p for p, e in numutil.factorize(n) for _ in range(e)]
         assert flat == trial_division(n) if n > 1 else flat == []
+
+
+def product_divisors(factorization) -> list[int]:
+    """Every product of one power p^i, 0 <= i <= e, per prime, sorted."""
+    powers = [[p**i for i in range(e + 1)] for p, e in factorization]
+    return sorted(math.prod(t) for t in itertools.product(*powers))
+
+
+PRIMES_BELOW_100 = [p for p in range(100) if naive_is_prime(p)]
+
+
+@pytest.mark.parametrize(
+    "exponents",
+    [
+        [],
+        [8],
+        [8, 8, 8],
+        [1] * 12,
+        [2] * 9,
+        [8, 4, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1],
+        [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 8],  # the big exponent on the largest prime
+        [8, 7, 6, 5],
+    ],
+)
+def test_divisors_of_wide_factorizations(exponents):
+    factorization = list(zip(PRIMES_BELOW_100, exponents))
+    assert numutil.divisors_of(factorization) == product_divisors(factorization)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(PRIMES_BELOW_100 + [1009, 65537, 2**31 - 1]), st.integers(1, 8)),
+        max_size=12,
+        unique_by=lambda pe: pe[0],
+    )
+)
+def test_divisors_of_match_the_product_of_prime_powers(factorization):
+    factorization.sort()
+    while math.prod(e + 1 for _, e in factorization) > 20000:
+        factorization.pop()
+    assert numutil.divisors_of(factorization) == product_divisors(factorization)
+
+
+def test_divisors_past_int64():
+    root = 2**64 * 3**5 * 7
+    factorization = [(2, 64), (3, 5), (7, 1)]
+    expected = product_divisors(factorization)
+    assert len(expected) == 65 * 6 * 2 and expected[-1] == root
+    assert numutil.divisors_of(factorization) == expected
+    assert numutil.divisors(root) == expected
+    assert list(co_ideal(root, root_limit=root).elements) == expected
+
+
+def test_integer_arguments_go_through_index():
+    n = 1000003 * 1000033
+    for wrapped in (np.int64(n), np.uint64(n)):
+        factors = numutil.prime_factors(wrapped)
+        assert factors == [1000003, 1000033] and all(type(f) is int for f in factors)
+    assert numutil.factorize(np.int32(360)) == [(2, 3), (3, 2), (5, 1)]
+    assert numutil.divisors(np.int16(12)) == [1, 2, 3, 4, 6, 12]
+    assert numutil.smallest_prime_factor(np.int64(91)) == 7
+    for bad in (12.0, 12.5, "12"):
+        with pytest.raises(TypeError):
+            numutil.prime_factors(bad)
+        with pytest.raises(TypeError):
+            numutil.smallest_prime_factor(bad)
