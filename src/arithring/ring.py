@@ -538,11 +538,13 @@ def _divide_solve(a: Sequence, b: Sequence, n: int, lead_idx: int, domain: Domai
     return tuple(g[1:]) + (0,) * (n - solve_top), None
 
 
-# A rank-r solve takes its first min(N, _HEAD r^2) indices sequentially, as
-# its first blocks hold about r indices each.  By `divide` at N = 10^5 (values
-# in -9..9, lead 1, best of 3, 4 interleaved runs on 2 cores): at r = 30 heads
-# of 8 r^2 to 32 r^2 tied and beat 4 r^2 and 64 r^2; at r = 100, 4 r^2 and
-# 8 r^2 took 0.12-0.19 s and 16 r^2 (all of N) 0.09-0.11 s; at r <= 5 all tied.
+# A rank-r solve takes a head 1..c sequentially, c the first block end at
+# most _HEAD r^2 (:func:`_block_ends`), as a block past c holds about c / r
+# indices.  By `divide` at N = 10^5 with the head at 16 r^2 and blocks grown
+# forward from it (values in -9..9, lead 1, best of 3, 4 interleaved runs on
+# 2 cores): at r = 30 heads of 8 r^2 to 32 r^2 tied and beat 4 r^2 and 64
+# r^2; at r = 100, 4 r^2 and 8 r^2 took 0.12-0.19 s and 16 r^2 (all of N)
+# 0.09-0.11 s; at r <= 5 all tied.
 _HEAD = 16
 
 
@@ -588,6 +590,24 @@ def _product_block(a, pa, pb, lead: int, lo: int, r: int):
     return q, bad
 
 
+def _block_ends(n: int, r: int) -> list:
+    """The ends of :func:`_block_solve`'s head and blocks at rank r, ascending.
+
+    Built back from n: below each end t, the least c with (r + 1)(c // r +
+    1) - 1 >= t is r (t // (r + 1)), and the first c <= _HEAD r^2 ends the
+    head.  At r = 1 the ends are n, n // 2, n // 4, ...  Blocks grown
+    forward from min(n, _HEAD r^2) instead leave a short last block, which
+    costs nearly the 2 isqrt(top) kernel passes of a full one.  As t -> r
+    (t // (r + 1)) is monotone, each end counted from n is at most the
+    forward end as many steps from n: no more blocks, and no block's top,
+    so no block's kernel pass count, exceeds the forward one's.
+    """
+    ends = [n]
+    while ends[-1] > _HEAD * r * r:
+        ends.append(r * (ends[-1] // (r + 1)))
+    return ends[::-1]
+
+
 def _block_solve(a: np.ndarray, b: np.ndarray, n: int, r: int):
     """Solve b * g = a over Z for 1-indexed arrays, b of rank r, in blocks.
 
@@ -606,10 +626,12 @@ def _block_solve(a: np.ndarray, b: np.ndarray, n: int, r: int):
     then b(r) (y - T) and R agree mod P and are at most B < P / 2 in
     size, so they are equal.  Any other block takes the exact product
     (:func:`_product_block`).  The first index where either test fails is
-    the witness, as in :func:`_divide_solve`, which solves the first
-    min(n, _HEAD r^2) indices.  At r = 1 the blocks are (c, 2c + 1].
+    the witness, as in :func:`_divide_solve`, which solves the head.  The
+    head and block ends come from :func:`_block_ends`, built back from n so
+    that the last block ends at n; at r = 1 the blocks are (t // 2, t].
     """
-    c = min(n, _HEAD * r * r)
+    ends = iter(_block_ends(n, r))
+    c = next(ends)
     q, witness = _divide_solve(a[1 : c + 1].tolist(), b[1 : c + 1].tolist(), c, r, Domain.Z)
     if q is None:
         return None, witness
@@ -625,7 +647,7 @@ def _block_solve(a: np.ndarray, b: np.ndarray, n: int, r: int):
         peak, m = max(peak, _peak(q)), c // r
         if c == n:
             return g, None
-        top = min((r + 1) * (m + 1) - 1, n)
+        top = next(ends)
         block = a[c + 1 : top + 1], (rest[: top + 1], widest), (g[: top + 1], peak), lead, c, r
         q, bad = _residue_block(*block) or _product_block(*block)
         if (wrong := np.flatnonzero(bad)).size:

@@ -344,8 +344,8 @@ def test_object_kernel_takes_the_sparse_operand_cut(kernel_inputs, lo):
 
 def test_associates_quotient_enters_the_kernel_cut(kernel_inputs):
     """are_associates(h, -h) solves in blocks whose products have the
-    quotient -epsilon as a: past the sequential head 1..16, each block
-    (c, 2c + 1] is one kernel call from lo = c with a = [0, -1]."""
+    quotient -epsilon as a: past the sequential head 1..9, each block
+    (t // 2, t] is one kernel call from lo = t // 2 with a = [0, -1]."""
     h = _h()
     assert h._num.dtype == object
     kernel_inputs.clear()
@@ -389,16 +389,23 @@ def _oracle(a, b, n, lead_idx=1):
 
 
 def _edges(n: int, r: int) -> list:
-    """The ends of the head and of each block of a rank-r solve at bound n:
-    min(n, _HEAD r^2), then (r + 1)(c // r + 1) - 1 past each end c, up to n."""
+    """The ends of the head and of each block of a rank-r solve at bound n,
+    ascending.  Back from n, the end below t is the least c whose block
+    (c, (r + 1)(c // r + 1) - 1] reaches t, r (ceil((t + 1) / (r + 1)) - 1);
+    the first end at most _HEAD r^2 is the head's."""
+    ends = [n]
+    while ends[-1] > ring._HEAD * r * r:
+        ends.append(r * (-(-(ends[-1] + 1) // (r + 1)) - 1))
+    return ends[::-1]
+
+
+def _forward_edges(n: int, r: int) -> list:
+    """The reference the schedule is measured against: blocks grown forward
+    from min(n, _HEAD r^2), (r + 1)(c // r + 1) - 1 past each end c, up to n."""
     ends = [min(n, ring._HEAD * r * r)]
     while ends[-1] < n:
         ends.append(min((r + 1) * (ends[-1] // r + 1) - 1, n))
     return ends
-
-
-# the rank-1 edges c and c + 1 up to 2**10: 16 (the head), then c = 2c + 1
-RANK_ONE_EDGES = sorted({v for c in _edges(1 << 10, 1) for v in (c, c + 1)})
 
 
 @st.composite
@@ -412,7 +419,7 @@ def rank_one_divisions(draw, max_n: int = 80, max_bits: int = 70):
     b = [lead] + draw(st.lists(values, min_size=n - 1, max_size=n - 1))
     q = draw(st.lists(values, min_size=n, max_size=n))
     a = list(exact_convolution(b, q, n, 0))
-    edges = sorted({1, 2, 3, n, *RANK_ONE_EDGES}
+    edges = sorted({1, 2, 3, n, *(v for c in _edges(n, 1) for v in (c, c + 1))}
                    | {v for j in range(7) for v in (1 << j, (1 << j) + 1)})
     at = draw(st.sampled_from([e for e in edges if e <= n]))
     if draw(st.booleans()):
@@ -434,13 +441,49 @@ def test_witness_at_every_block_edge(lead, n):
     q = [(m * 104729 % 999983) << 35 for m in range(1, n + 1)]
     exact = list(exact_convolution(b, q, n, 0))
     assert _block_solve(exact, b, n) == (tuple(q), None)
-    for at in sorted({1, 2, 3, n, *RANK_ONE_EDGES}
+    for at in sorted({1, 2, 3, n, *(v for c in _edges(n, 1) for v in (c, c + 1))}
                      | {v for j in range(8) for v in (1 << j, (1 << j) + 1)}):
         if at > n:
             continue
         a = list(exact)
         a[at - 1] += 1
         assert _block_solve(a, b, n) == (None, at) == _oracle(a, b, n)
+
+
+def _schedule_costs(ends: list) -> tuple:
+    """(blocks past the head, sum of isqrt(top) over them): a block's kernel
+    call makes about 2 isqrt(top) passes whatever its size."""
+    return len(ends) - 1, sum(map(math.isqrt, ends[1:]))
+
+
+@pytest.mark.parametrize("ranks, bound", [(range(1, 4), 20_000), (range(4, 41), 3000)])
+def test_schedule_is_never_worse_than_growing_forward(ranks, bound):
+    """The ends _block_solve takes, read from ring._block_ends, are
+    _edges's and end at n; each block (c, t] lies within the reach (r + 1)
+    (c // r + 1) - 1 of its solved prefix and holds a multiple of r; the
+    head is at most min(n, 16 r^2); and against blocks grown forward from
+    the head there are no more blocks and no larger sum of isqrt(top)."""
+    for r in ranks:
+        for n in range(1, bound + 1):
+            ends = ring._block_ends(n, r)
+            assert ends == _edges(n, r)
+            assert ends[-1] == n and ends[0] <= min(n, ring._HEAD * r * r)
+            assert all(c < t <= (r + 1) * (c // r + 1) - 1 and r * (c // r + 1) <= t
+                       for c, t in zip(ends, ends[1:]))
+            blocks, passes = _schedule_costs(ends)
+            forward_blocks, forward_passes = _schedule_costs(_forward_edges(n, r))
+            assert blocks <= forward_blocks and passes <= forward_passes
+
+
+def test_last_block_ends_at_the_bound():
+    """At N = 80 006 growing forward leaves a last block (69631, 80006]; built
+    back from N, the 13 blocks are (t // 2, t] and make 18 % fewer passes."""
+    ends = ring._block_ends(80_006, 1)
+    assert ends == _edges(80_006, 1) == [9, 19, 39, 78, 156, 312, 625, 1250, 2500, 5000,
+                                         10_000, 20_001, 40_003, 80_006]
+    assert _forward_edges(80_006, 1)[-2:] == [69_631, 80_006]
+    assert _schedule_costs(ends) == (13, 950)
+    assert _schedule_costs(_forward_edges(80_006, 1)) == (13, 1161)
 
 
 def _residue_steps(monkeypatch) -> list:
@@ -639,9 +682,10 @@ def test_lead_sharing_a_crt_prime_falls_back(monkeypatch):
     products = _spy(monkeypatch, "_product")
     assert _block_solve(a, b, n) == (tuple(q), None) == _oracle(a, b, n)
     ends = _edges(n, 1)
-    assert ends == [16, 33, 67, 135, 271, 543, 1087, 2000]
-    assert steps == [16, 543, 1087]
-    assert [(top, lo) for *_, top, lo in products] == [(67, 33), (135, 67), (271, 135), (543, 271)]
+    assert ends == [15, 31, 62, 125, 250, 500, 1000, 2000]
+    assert steps == [15, 31, 1000]
+    assert [(top, lo) for *_, top, lo in products] == [
+        (125, 62), (250, 125), (500, 250), (1000, 500)]
     for at in (100, 1500):
         bad = list(a)
         bad[at - 1] += lead
@@ -672,8 +716,9 @@ def test_witness_in_the_first_and_last_crt_block(monkeypatch, lead):
     a, b, q = _wide_case(n, lead)
     steps = _residue_steps(monkeypatch)
     assert _block_solve(a, b, n) == (tuple(q), None)
-    assert steps == _edges(n, 1)[:-1]
-    for at in (17, 33, n - 1, n):
+    ends = _edges(n, 1)
+    assert steps == ends[:-1]
+    for at in sorted({17, 33, ends[0] + 1, ends[1], n - 1, n}):
         for extra in (1, -1, lead):
             bad = list(a)
             bad[at - 1] += extra
@@ -713,7 +758,7 @@ def test_wide_block_solve_matches_the_sequential_solve(case):
 
 def test_block_solve_packs_its_divisor_once(monkeypatch):
     """One operand of b without b(1) per solve, one product per block past the
-    head, from lo = c at bound 2c + 1, and no pack."""
+    head, from lo = c at bound t for each block (c, t], and no pack."""
     n = 200
     b = [1] + [m % 7 - 3 for m in range(1, n)]
     q = [m % 5 - 2 for m in range(n)]
@@ -726,8 +771,8 @@ def test_block_solve_packs_its_divisor_once(monkeypatch):
     assert (_at(got), witness) == (tuple(q), None)
     assert packs == []
     assert len(operands) == 1 and _at(operands[0][0]) == (0, *b[1:])
-    # past the head 1..16, blocks (16, 33], (33, 67], (67, 135], (135, 200]
-    assert [(top, lo) for *_, top, lo in products] == [(33, 16), (67, 33), (135, 67), (200, 135)]
+    # past the head 1..12, blocks (12, 25], (25, 50], (50, 100], (100, 200]
+    assert [(top, lo) for *_, top, lo in products] == [(25, 12), (50, 25), (100, 50), (200, 100)]
 
 
 def test_block_quotient_stays_int64_while_it_fits(monkeypatch):
@@ -767,7 +812,8 @@ def test_divide_and_inverse_match_the_oracle(wide, num, den):
 
 def test_every_rank_takes_the_block_solve(monkeypatch):
     """A divisor of rank r > 1 takes the block solve, which runs the
-    sequential solve on its head 1..min(N, 16 r^2) alone."""
+    sequential solve on its head alone: 1..N when N <= 16 r^2, else up to
+    the first block end back from N that is at most 16 r^2."""
     cases = []
     for r, n in ((2, 8), (2, 200), (3, 500)):
         den = make([0] * (r - 1) + [3] + [m % 5 - 2 for m in range(r, n)], Z)
@@ -780,12 +826,12 @@ def test_every_rank_takes_the_block_solve(monkeypatch):
         got = divide(num, den)
         assert got.witness is None and got.quotient.values == want
         assert [args[2:] for args in blocks] == [(n, r)]
-        assert [args[2:] for args in solves] == [(min(n, ring._HEAD * r * r), r, Z)]
         ends = _edges(n, r)
+        assert [args[2:] for args in solves] == [(ends[0], r, Z)]
         assert [(top, lo) for *_, top, lo in products] == list(zip(ends[1:], ends))
         for seen in (blocks, solves, products):
             seen.clear()
-    assert _edges(200, 2) == [64, 98, 149, 200]
+    assert _edges(8, 2) == [8] and _edges(200, 2) == [58, 88, 132, 200]
 
 
 @st.composite
@@ -830,20 +876,53 @@ def _rank_r_case(r: int, n: int, lead: int):
     return list(exact_convolution(b, q, n, 0)), b, q
 
 
+def _route_cases(r: int, n: int, lead: int) -> dict:
+    """(a, b, q) of an exact rank-r division at bound n per block route:
+    an int64 dividend; an object dividend whose quotient, nonzero at 1, 2,
+    3, 5 and 8 alone, keeps every block product off the CRT; and a dense
+    wide one whose blocks are solved in residues."""
+    b = [0] * (r - 1) + [lead] + [(m * 7919 % 1009 - 504) << 56 for m in range(r, n)]
+    q = [(0, 7, -2, 5, 0, 3, 0, 0, -9)[m] if m < 9 else 0 for m in range(1, n + 1)]
+    return {"int64": _rank_r_case(r, n, lead),
+            "object": (list(exact_convolution(b, q, n, 0)), b, q),
+            "residue": _wide_case(n, lead, r)}
+
+
+@pytest.mark.parametrize("route", ["int64", "object", "residue"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_witness_at_each_block_end_on_every_route(monkeypatch, route, r):
+    """A remainder at a block's last index or at the next block's first
+    index, n // 2 among them at r = 1, is the witness on each block route:
+    the int64 product, the object product and the residues."""
+    n = 1200
+    a, b, q = _route_cases(r, n, -3)[route]
+    ends = _edges(n, r)
+    assert ring._pack(a).dtype == (np.int64 if route == "int64" else object)
+    steps = _residue_steps(monkeypatch)
+    assert _block_solve(a, b, n, r) == (tuple(q), None) == _oracle(a, b, n, r)
+    assert steps == (ends[:-1] if route == "residue" else [])
+    points = {v for c in ends[:-1] for v in (c, c + 1)} | {n}
+    assert r > 1 or n // 2 in points
+    for at in sorted(points):
+        bad = list(a)
+        bad[at - 1] += 1
+        assert _block_solve(bad, b, n, r) == (None, at) == _oracle(bad, b, n, r)
+
+
 @pytest.mark.parametrize("lead", [1, -3, 1 << 40])
 @pytest.mark.parametrize("r", [2, 3, 5])
 def test_rank_r_witnesses(r, lead):
     """Witnesses at a non-multiple of r inside a block, a remainder at a
-    multiple, both edges of the head, each block's edges and the last,
-    multiple-free tail block (r m <= N < r (m + 1))."""
+    multiple, both edges of the head, each block's edges and the last
+    index, N, a non-multiple of r.  Built back from N, every block holds
+    a multiple of r, the last one included."""
     head = ring._HEAD * r * r
-    # the least n past two blocks whose last block holds no multiple of r
-    n = next(n for n in range(head + 1, 20 * head)
-             if len(_edges(n, r)) > 3 and n < r * (_edges(n, r)[-2] // r + 1))
+    # the least n past two blocks that is not a multiple of r
+    n = next(n for n in range(head + 1, 20 * head) if len(_edges(n, r)) > 3 and n % r)
     ends = _edges(n, r)
     a, b, q = _rank_r_case(r, n, lead)
     assert _block_solve(a, b, n, r) == (tuple(q), None)
-    assert n < r * (ends[-2] // r + 1)  # no multiple of r in (ends[-2], n]
+    assert all(r * (c // r + 1) <= top for c, top in zip(ends, ends[1:]))
     # both edges of the head and of each block, and r + 1 indices inside one
     points = {head, head + 1, n, *ends, *(c + 1 for c in ends[:-1])}
     points |= set(range(ends[1] + 2, ends[1] + r + 3))
