@@ -1,19 +1,20 @@
 """Low-level kernels: Dirichlet convolution and multiplicative sieves.
 
-The kernels are vectorised numpy over int64 or, with ``dtype=object``,
-over exact Python ints or ``Fraction``s.  Convolution uses Dirichlet's
+The kernels are vectorised numpy over int32 or int64 or, with
+``dtype=object``, over exact Python ints or ``Fraction``s; a convolution
+runs in its operands' common dtype.  Convolution uses Dirichlet's
 hyperbola split, about 2*sqrt(n) strided passes, and is the package's
 one convolution: ``ring`` runs it on int64 operands that pass
-:func:`convolution_fits_i64` and on ``object`` operands, and
-:mod:`arithring.crt` once per prime p on residues (max_a = max_b = p - 1
-pass the gate).
+:func:`convolution_fits_i64`, on int32 ones that pass it at 2**30 and on
+``object`` operands, and :mod:`arithring.crt` once per prime p on
+residues (max_a = max_b = p - 1 pass the gate).
 The multiplicative sieve makes one strided pass per prime up to sqrt(n).
-Primality masks and the sieve's cofactors are int64 on every route,
-since they hold no function values.
+Primality masks are bool and the sieve's cofactors the narrowest signed
+type that holds n, on every route, since they hold no function values.
 
 All arrays here are 1-indexed: length ``n + 1`` with slot 0 unused (zero).
-Over int64 a kernel is exact only behind a gate that bounds every
-intermediate (see :func:`convolution_fits_i64`).
+Over int32 or int64 a kernel is exact only behind a gate that bounds
+every intermediate (see :func:`convolution_fits_i64`).
 """
 
 from __future__ import annotations
@@ -32,20 +33,23 @@ def active_backend() -> str:
     return "numpy"
 
 
-# 2**62 leaves one spare bit below int64; convolution partial sums of k terms
-# bounded by max|a| * max|b| * k never wrap if the full bound clears this.
+# 2**62 leaves one spare bit below int64, and 2**30 below int32; convolution
+# partial sums of k terms bounded by max|a| * max|b| * k never wrap in that
+# width if the full bound clears its limit.
 I64_SAFE = 1 << 62
+I32_SAFE = 1 << 30
 
 
-def convolution_fits_i64(max_a: int, max_b: int, n: int) -> bool:
-    """A-priori overflow gate for convolve_i64 on int64 operands.
+def convolution_fits_i64(max_a: int, max_b: int, n: int, safe: int = I64_SAFE) -> bool:
+    """A-priori overflow gate for convolve_i64 on operands of one integer width.
 
     Each output is a sum of at most tau(m) <= 2*sqrt(n) terms, each bounded
     by max|a| * max|b|, so the whole computation stays inside int64 whenever
-    max_a * max_b * 2 * isqrt(n) < 2**62.  Exact integer arithmetic, no
-    estimates.
+    max_a * max_b * 2 * isqrt(n) < I64_SAFE = 2**62, and inside int32
+    whenever it is below I32_SAFE = 2**30; `safe` is the limit tested.
+    Exact integer arithmetic, no estimates.
     """
-    return max_a * max_b * 2 * math.isqrt(n) < I64_SAFE
+    return max_a * max_b * 2 * math.isqrt(n) < safe
 
 
 def convolve_i64(a: np.ndarray, b: np.ndarray, lo: int = 0) -> np.ndarray:
@@ -58,14 +62,15 @@ def convolve_i64(a: np.ndarray, b: np.ndarray, lo: int = 0) -> np.ndarray:
     along out[j*m::m] from j = max(s + 1, lo // m + 1) to a's end.  Every
     pair is visited once, in about 2*sqrt(n) vectorised passes, and a zero
     a[d] or b[m] skips its pass; past a's end there are no columns.  The
-    output is int64, where the gate bounds every partial sum, or ``object``
-    when either operand is; slots 0..lo are 0.  The name predates
-    ``object`` operands; perfbench's tracer and the benchmark's per-layer
-    metrics know the kernel by it.
+    output has the operands' common dtype: int32 or int64, where the gate
+    at that width bounds every partial sum, or ``object`` when either
+    operand is; slots 0..lo are 0.  The name predates int32 and ``object``
+    operands; perfbench's tracer and the benchmark's per-layer metrics know
+    the kernel by it.
     """
     n, na = b.shape[0] - 1, a.shape[0] - 1
     s = math.isqrt(n)
-    dtype = object if object in (a.dtype, b.dtype) else np.int64
+    dtype = object if object in (a.dtype, b.dtype) else np.result_type(a, b)
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     out = np.zeros(n + 1, dtype)
     for d, ad in enumerate(a[1 : s + 1].tolist(), 1):
@@ -96,12 +101,14 @@ def _multiplicative(n: int, rule, dtype=np.int64) -> np.ndarray:
 
     An m <= n has at most one prime factor above isqrt(n), with exponent 1,
     so strided passes run only for p <= isqrt(n), each also dividing p^e out
-    of the int64 cofactor rem[m].  Then rem[m] is 1 or that large prime, and
-    one vectorised rule(rem, 1) finishes.
+    of the cofactor rem[m].  Then rem[m] is 1 or that large prime, and one
+    vectorised rule(rem, 1) finishes.  rem is held in the narrowest signed
+    type that holds -n - 1, and so n: the strided passes are memory-bound,
+    and at n = 30 000 an int16 cofactor moves a quarter of int64's bytes.
     """
     out = np.ones(n + 1, dtype)
     out[0] = 0
-    rem = np.arange(n + 1, dtype=np.int64)
+    rem = np.arange(n + 1, dtype=np.min_scalar_type(-n - 1))
     for p in np.flatnonzero(primes_mask(math.isqrt(n))).tolist():
         # g[i] covers the multiple (i + 1) * p; ascending prime powers
         # overwrite so the surviving entry matches the exact valuation.

@@ -21,21 +21,22 @@ no L.  Sums and scalar multiples run on F, in int64 behind an exact gate.
 
 f * g = (F * G) / (L_f L_g), so both domains multiply on the one
 convolution kernel of :mod:`arithring.kernels`: over int64 when its
-overflow gate passes, else on residues modulo a few primes with a CRT
-rebuild when both operands are dense (:mod:`arithring.crt`, loaded on
-the first such product), else over ``object``; the ``object`` kernel
-takes the sparser operand cut after its last nonzero value.  A division
-reads the divisor's rank r and lead off its store and solves over Z on
-F, in blocks that grow by a factor 1 + 1/r (a relaxed solve; van der
-Hoeven, "Relax, but don't be too lazy", JSC 2002).  A block whose
-product would take the CRT is solved in residues: per prime one kernel
-call gives the residual mod p, and Garner's step rebuilds the quotient
-once, in int64 when it fits, with no big-int residual or division.  Any
-other block takes one product on the kernel and divides its residual by
-the lead.  The inverse of f is the quotient of epsilon by f.  Over Q the
-dividend is first scaled by a power of the divisor's integer lead, so
-every division is exact; only a ``Fraction`` store takes the solve on
-``Fraction``s.
+overflow gate passes, and over int32 operands, widened back to an int64
+F, when a whole product passes it at 2^30; else on residues modulo a few
+primes with a CRT rebuild when both operands are dense
+(:mod:`arithring.crt`, loaded on the first such product), else over
+``object``; the ``object`` kernel takes the sparser operand cut after
+its last nonzero value.  A division reads the divisor's rank r and lead
+off its store and solves over Z on F, in blocks that grow by a factor
+1 + 1/r (a relaxed solve; van der Hoeven, "Relax, but don't be too
+lazy", JSC 2002).  A block whose product would take the CRT is solved
+in residues: per prime one kernel call gives the residual mod p, and
+Garner's step rebuilds the quotient once, in int64 when it fits, with
+no big-int residual or division.  Any other block takes one product on
+the kernel and divides its residual by the lead.  The inverse of f is
+the quotient of epsilon by f.  Over Q the dividend is first scaled by a
+power of the divisor's integer lead, so every division is exact; only a
+``Fraction`` store takes the solve on ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -468,20 +469,28 @@ def _crt_plan(pa, pb, n: int):
 def _product(pa, pb, n: int, lo: int = 0) -> np.ndarray:
     """The product of two operands on lo+1..n, zero on 0..lo, exact on one kernel.
 
-    The int64 kernel when the gate passes.  Else the kernel modulo a few
-    primes with a CRT rebuild when :func:`_crt_plan` finds them, and
-    otherwise the kernel over ``object`` with the sparser operand (`pa` on
-    a tie) as a, cut after its last nonzero value: its zeros skip their
-    row passes, and its zero tail every column pass.  The cast keeps int64
-    operands past the gate out of the int64 accumulator.
+    The int64 kernel when the gate passes; a whole product (lo = 0) that
+    also passes it at ``kernels.I32_SAFE`` runs on int32 operands, which
+    halves the bytes each strided pass moves, and returns int64, so every
+    store stays int64.  A block (lo > 0) stays int64: three more numpy
+    calls per block cost more than its short passes save.  Else the kernel
+    modulo a few primes with a CRT rebuild when :func:`_crt_plan` finds
+    them, and otherwise the kernel over ``object`` with the sparser
+    operand (`pa` on a tie) as a, cut after its last nonzero value: its
+    zeros skip their row passes, and its zero tail every column pass.  The
+    cast keeps int64 operands past the gate out of the int64 accumulator.
     """
+    (arr_a, max_a), (arr_b, max_b) = pa, pb
     if _fits(pa, pb, n):
-        return kernels.convolve_i64(pa[0], pb[0], lo)
+        if lo == 0 and kernels.convolution_fits_i64(max_a, max_b, n, kernels.I32_SAFE):
+            # the int32 copies are freed before the widened result is made
+            out = kernels.convolve_i64(arr_a.astype(np.int32), arr_b.astype(np.int32))
+            return out.astype(np.int64)
+        return kernels.convolve_i64(arr_a, arr_b, lo)
     if plan := _crt_plan(pa, pb, n):
         from . import crt
 
         return crt.product(pa, pb, n, *plan, lo)
-    (arr_a, _), (arr_b, _) = pa, pb
     nz_a, nz_b = np.flatnonzero(arr_a), np.flatnonzero(arr_b)
     if nz_b.size < nz_a.size:
         arr_a, nz_a, arr_b = arr_b, nz_b, arr_a

@@ -213,6 +213,91 @@ def test_convolve_just_inside_gate_with_negative_extremes(n, kernel_inputs):
     assert got[n] == -max_a * 2 * math.isqrt(n) > -(1 << 62)
 
 
+def _stored_as_made(f) -> None:
+    """f stores int64 and equals, with the same hash, the store make builds
+    from its values."""
+    made = make(list(f.values), Domain.Z)
+    assert f._num.dtype == made._num.dtype == np.int64
+    assert f == made and hash(f) == hash(made)
+
+
+# The same bound at 2**30: 2**30 - 2 is the largest the int32 route accepts.
+@pytest.mark.parametrize(
+    "max_a, max_b, n, bound",
+    [
+        ((1 << 29) - 1, 1, 1, (1 << 30) - 2),
+        (1, (1 << 29) - 1, 3, (1 << 30) - 2),
+        (1 << 29, 1, 1, 1 << 30),
+        ((1 << 19) - 1, 1, 1 << 20, (1 << 30) - (1 << 11)),
+        (1 << 9, 1 << 10, (1 << 20) + 5, 1 << 30),
+    ],
+)
+def test_int32_gate_boundary(max_a, max_b, n, bound, kernel_inputs):
+    """convolve hands the kernel int32 operands below 2**30 and int64 at it;
+    both store int64 with the exact values."""
+    assert max_a * max_b * 2 * math.isqrt(n) == bound
+    narrow = bound < kernels.I32_SAFE
+    assert kernels.convolution_fits_i64(max_a, max_b, n, kernels.I32_SAFE) == narrow
+    assert kernels.convolution_fits_i64(max_a, max_b, n)
+    m = min(n, 64)  # the operand values; the kernel runs on all of 1..n
+    f = make([-max_a] + [(-1) ** k * (max_a - k) for k in range(1, m)] + [0] * (n - m), Domain.Z)
+    g = make([max_b] + [0] * (n - 2) + [-max_b] * (n > 1), Domain.Z)
+    got = convolve(f, g)
+    [(a, b, lo)] = kernel_inputs
+    width = np.int32 if narrow else np.int64
+    assert a.dtype == b.dtype == width and lo == 0
+    assert a.tolist() == f._num.tolist() and b.tolist() == g._num.tolist()
+    assert got.values == exact_convolution(f.values, g.values, n, 0)
+    _stored_as_made(got)
+
+
+@pytest.mark.parametrize("max_b", [1, 7])
+@pytest.mark.parametrize("n", [2, 3, 6, 8, 12, 24])
+def test_convolve_just_inside_int32_gate_with_negative_extremes(n, max_b, kernel_inputs):
+    # tau(n) = 2 * isqrt(n) for exactly these n, so out[n] reaches the
+    # full bound -max_a * max_b * 2 * isqrt(n) just above -2**30.
+    max_a = (kernels.I32_SAFE - 1) // (2 * math.isqrt(n) * max_b)
+    f = make([-max_a] * n, Domain.Z)
+    g = make([max_b] * n, Domain.Z)
+    got = convolve(f, g)
+    [(a, b, _)] = kernel_inputs
+    assert a.dtype == b.dtype == np.int32
+    assert got.values == exact_convolution(f.values, g.values, n, 0)
+    assert got[n] == -max_a * max_b * 2 * math.isqrt(n) > -(1 << 30)
+    _stored_as_made(got)
+
+
+def test_division_blocks_stay_int64(kernel_inputs):
+    """Every block product of a division passes the 2**30 gate, yet runs on
+    int64 operands: only a whole product is narrowed."""
+    n = 5000
+    mob = build("mobius", n, Domain.Z)
+    got = ring.inverse(mob)
+    assert got == build("one", n, Domain.Z)
+    _stored_as_made(got)
+    assert kernel_inputs and all(lo > 0 for *_, lo in kernel_inputs)
+    for a, b, _ in kernel_inputs:
+        assert a.dtype == b.dtype == np.int64
+        assert kernels.convolution_fits_i64(ring._peak(a), ring._peak(b), n, kernels.I32_SAFE)
+
+
+# Each signed width's last n and the two past it: the sieve's cofactors
+# move from int8 to int16 at 128 and from int16 to int32 at 32768.  One
+# width too narrow, 129 and 32769 wrap to values that an odd prime divides
+# wrongly; a wrapped 128 or 32768 only halves down to -1 and comes out right.
+@pytest.mark.parametrize("n", [127, 128, 129, 32767, 32768, 32769])
+def test_sieves_match_exact_at_cofactor_widths(n):
+    for name, prime_power_value in PRIME_POWER_VALUES.items():
+        got = kernels._multiplicative(n, kernels.RULES[name][1])
+        assert got.dtype == np.int64
+        assert got[1:].tolist() == list(_exact_multiplicative(n, prime_power_value).values), name
+    k = 12  # n^12 * 2 isqrt(n) is past 2**62: sigma_12 takes the object sieve
+    assert not kernels.convolution_fits_i64(n**k, 1, n)
+    want = _exact_multiplicative(n, sigma_prime_power(k))
+    assert object_sieve(f"sigma_{k}", n) == want
+    assert build(f"sigma_{k}", n, Domain.Z) == want
+
+
 @pytest.mark.parametrize("extreme", [-(1 << 63), 1 << 63])
 def test_out_of_gate_values_fall_back_to_exact(extreme, kernel_inputs):
     f = make([extreme, 1, -1, 0, 5, 7], Domain.Z)
