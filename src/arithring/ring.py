@@ -13,11 +13,13 @@ F / L, as FLINT's ``fmpq_poly`` does.  F is one read-only numpy array in
 the kernels' 1-indexed form, F[0] = 0: int64 when every value fits, else
 ``object`` (Python ints), which every route reads as it is.  Over Z, L is
 1; Z embeds in Q by a retag sharing F.  :func:`make` reads ints, bools and
-numpy integers into F in one C pass of ``array('q')``; only a list holding
-another kind of value is coerced value by value.  ``values`` is built on
-first read and cached.  An L wider than ``_MAX_SCALE_BITS`` would make
-every F value as wide, so such a function stores its ``Fraction``s, with
-no L.  Sums and scalar multiples run on F, in int64 behind an exact gate.
+numpy integers into F in one C pass of ``struct.pack``, read in place, and
+a list of integer strings by one ``int`` map into that pass; only a list
+holding another kind of value is coerced value by value.  ``values`` is
+built on first read and cached.  An L wider than ``_MAX_SCALE_BITS``
+would make every F value as wide, so such a function stores its
+``Fraction``s, with no L.  Sums and scalar multiples run on F, in int64
+behind an exact gate.
 
 f * g = (F * G) / (L_f L_g), so both domains multiply on the one
 convolution kernel of :mod:`arithring.kernels`: over int64 when its
@@ -41,11 +43,11 @@ power of the divisor's integer lead, so every division is exact; only a
 
 from __future__ import annotations
 
-import array
 import contextlib
 import functools
 import math
 import operator
+import struct
 import sys
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
@@ -247,8 +249,23 @@ def make(values: Iterable, domain: Domain = Domain.Q) -> ArithFunc:
         packed = _pack(vals)
     except TypeError:
         domain = Domain(domain)
-        return ArithFunc(domain, [_coerce(v, domain) for v in vals])
+        packed = _integer_strings(vals)
+        if packed is None:
+            return ArithFunc(domain, [_coerce(v, domain) for v in vals])
     return ArithFunc(domain, packed, 1)
+
+
+def _integer_strings(values: Sequence) -> Optional[np.ndarray]:
+    """The store of `values` when each is a str that ``int`` reads, else None.
+    What ``int`` reads, ``Fraction`` reads as the same integer, save "_",
+    which ``Fraction`` refuses before Python 3.11, so "_" is left to _coerce."""
+    if set(map(type, values)) != {str} or "_" in "".join(values):
+        return None
+    try:
+        ints = list(map(int, values))
+    except ValueError:  # _coerce reads or refuses each value, with its message
+        return None
+    return _pack(ints)
 
 
 def _indicator(r: int, bound: int) -> np.ndarray:
@@ -402,11 +419,10 @@ def _rational(ints: Sequence[int], den: int) -> tuple:
 def _pack(values: Sequence[int]) -> np.ndarray:
     """The integers `values` as a 1-indexed store array, int64 when they all fit,
     else object; TypeError for a value without ``__index__``, such as a float."""
-    try:
-        packed = array.array("q", values)
-    except OverflowError:
+    try:  # one C conversion, read in place
+        return np.frombuffer(struct.pack(f"{len(values) + 1}q", 0, *values), np.int64)
+    except struct.error:  # a value past int64, or one with no __index__
         return np.array((0, *map(operator.index, values)), object)
-    return np.concatenate(([0], np.frombuffer(packed, np.int64)))
 
 
 def _peak(arr: np.ndarray) -> int:

@@ -37,6 +37,17 @@ class TestFunctionCommands:
         assert code == 0
         assert out == "1 1/2\n2 3\n"
 
+    def test_conv_files_read_back_at_a_million_values(self, capsys, tmp_path):
+        """conv's json and csv files of 10^6 values, read back by fn-eval,
+        print the text that conv prints."""
+        argv = ["conv", "--lhs", "mobius", "--rhs", "id", "--bound", "1000000", "--domain", "Z"]
+        code, text, _ = run(capsys, *argv)
+        assert code == 0 and text.count("\n") == 1_000_000
+        for fmt in ("json", "csv"):
+            path = tmp_path / f"phi.{fmt}"
+            assert run(capsys, *argv, "--format", fmt, "--out", str(path)) == (0, "", "")
+            assert run(capsys, "fn-eval", str(path), "--domain", "Z") == (0, text, "")
+
     def test_in_is_an_fn_eval_option_only(self, capsys, tmp_path):
         code, out, err = run(capsys, "conv", "--lhs", "one", "--rhs", "one", "--bound", "4",
                              "--in", str(tmp_path / "missing.json"))

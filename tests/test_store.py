@@ -352,7 +352,7 @@ def test_add_gate_edge(x, y):
 
 I64 = 1 << 63
 
-# what the array('q') pass reads: ints, bools and numpy integers, to past int64
+# what the struct.pack pass reads: ints, bools and numpy integers, to past int64
 _INTEGERS = st.one_of(
     st.integers(-9, 9),
     st.sampled_from([I64 - 1, -I64, I64, -I64 - 1]),
@@ -372,6 +372,21 @@ _OTHERS = st.one_of(
     st.builds(Decimal, st.integers(-5, 5)),
     st.lists(st.integers(0, 3), max_size=2),
 )
+# strings that int reads, to past int64 and up to Python's 4300-digit limit
+_INT_STRINGS = [
+    "7", "-3", "+5", " -3 ", "\t12\n", "007", "-007", "-0", "+0", "0", "\u0663", "\u0661\u0662",
+    "\uff11\uff12", str(I64 - 1), str(-I64), str(I64), str(-I64 - 1), "9" * 4300,
+]
+# and strings that int refuses or is never shown ("_"), for Fraction to read
+# or reject value by value
+_STRING_CASES = _INT_STRINGS + [
+    "1_000", "1__0", "_1", "1_", "-1_0", "\x1c5\x1c", "1e3", "1.0", "2/1", "1/2", "4/2", "x",
+    "\xb2", "0x10", "", " ", "9" * 4301,
+]
+_STRINGS = st.sampled_from(_STRING_CASES) | st.builds(
+    lambda pad, sign, zeros, n: f"{pad}{sign}{'0' * zeros}{n}{pad}",
+    st.sampled_from(["", " ", "\t"]), st.sampled_from(["", "-", "+"]), st.integers(0, 2),
+    st.integers(0, 1 << 70))
 _CONTAINERS = {"list": list, "tuple": tuple, "generator": lambda vals: (v for v in vals)}
 
 
@@ -385,12 +400,76 @@ def _intake(fn):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(_INTEGERS, max_size=6) | st.lists(_INTEGERS | _OTHERS, max_size=6),
+@given(st.lists(_INTEGERS, max_size=6) | st.lists(_INTEGERS | _OTHERS, max_size=6)
+       | st.lists(_STRINGS, min_size=1, max_size=6)
+       | st.lists(_STRINGS | _INTEGERS | _OTHERS, max_size=6),
        st.sampled_from(sorted(_CONTAINERS)), st.sampled_from([Z, Q]))
 def test_make_is_the_per_value_route(vals, container, domain):
     """make gives the store that coercing each value gives, or the same error."""
     want = _intake(lambda: ArithFunc(domain, [ring._coerce(v, domain) for v in vals]))
     assert _intake(lambda: make(_CONTAINERS[container](vals), domain)) == want
+
+
+@pytest.mark.parametrize("domain", [Z, Q])
+@pytest.mark.parametrize("vals", [
+    *([s] for s in _STRING_CASES),
+    _INT_STRINGS,
+    ["1", "-2", "1_000"], ["1", "1e3"], ["1", ""], ["1", "9" * 4301], ["9" * 4301, "1_0"],
+    ["1", 2], ["1", 2.5], [2.5, "1"], ["1", Fraction(5, 2)], ["4/2", Fraction(1, 2), 3],
+    ["1", None], [I64, "1"], ["1", np.int64(3), True],
+], ids=lambda vals: repr(vals)[:40])
+def test_strings_take_the_per_value_route(vals, domain):
+    """Integer strings read at once give the store and errors that _coerce
+    gives value by value; int(2.5) is 2, so a mixed list is never read by int."""
+    want = _intake(lambda: ArithFunc(domain, [ring._coerce(v, domain) for v in vals]))
+    for wrap in _CONTAINERS.values():
+        assert _intake(lambda: make(wrap(vals), domain)) == want
+
+
+def test_underscores_go_to_fraction_and_never_to_int(monkeypatch):
+    """Before Python 3.11 Fraction refuses "1_000", which int reads as 1000,
+    so a list with "_" in it is coerced value by value, never read by int."""
+    coerced, ints = [], []
+    real_coerce = ring._coerce
+    monkeypatch.setattr(ring, "_coerce", lambda v, d: coerced.append(v) or real_coerce(v, d))
+    monkeypatch.setattr(ring, "int", lambda v: ints.append(v) or int(v), raising=False)
+    assert make(["1", "-2", "3"], Z).values == (1, -2, 3)
+    assert (coerced, ints) == ([], ["1", "-2", "3"])
+    ints.clear()
+    got = _intake(lambda: make(["1", "1_000"], Z))
+    assert coerced == ["1", "1_000"] and not any(type(v) is str for v in ints)
+    if sys.version_info >= (3, 11):
+        assert got[3] == [(int, 0), (int, 1), (int, 1000)]
+    else:
+        assert got[0] is NotInDomain and "1_000" in got[1]
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+@pytest.mark.parametrize("wide", [I64, -I64 - 1, 1 << 100])
+def test_one_value_past_int64_in_a_long_list(at, wide):
+    n = 10 ** 5
+    vals = [k % 19 - 9 for k in range(n)]
+    vals[{"first": 0, "middle": n // 2, "last": n - 1}[at]] = wide
+    for domain in (Z, Q):
+        f = make(vals, domain)
+        assert f._num.dtype == object and f._den == 1
+        assert f._num.tolist() == [0, *vals]
+        assert all(type(v) is int for v in f._num.tolist())
+
+
+class _IndexRaises:
+    def __index__(self):
+        raise ValueError("no index here")
+
+
+@pytest.mark.parametrize("vals", [
+    [_IndexRaises()], [1, _IndexRaises(), 2.5], [I64, _IndexRaises()], [_IndexRaises(), 1 << 70],
+], ids=["alone", "before a float", "after 2**63", "before 2**70"])
+def test_an_index_that_raises_value_error_propagates(vals):
+    for domain in (Z, Q):
+        for wrap in _CONTAINERS.values():
+            with pytest.raises(ValueError, match="no index here"):
+                make(wrap(vals), domain)
 
 
 @pytest.mark.parametrize("values, dtype", [
@@ -414,12 +493,17 @@ def test_make_at_the_int64_edges(values, dtype):
 
 def test_stores_are_read_only():
     f = make([1, 2, 3, 4], Z)
+    n = 10 ** 5
+    packed = make(list(range(1, n + 1)), Z)  # read in place from the packed bytes
     for g in (f, restrict(f, 2), with_domain(f, Q), with_domain(with_domain(f, Q), Z),
               restrict(make([1 << 70, 2, 3], Z), 2), make(VALUES, Q), _wide(),
-              restrict(_wide(), 3), build("mobius", 30, Z), convolve(f, f)):
+              restrict(_wide(), 3), build("mobius", 30, Z), convolve(f, f), packed):
         with pytest.raises(ValueError, match="read-only"):
             g._num[1] = 5
     assert f.values == (1, 2, 3, 4)
+    assert isinstance(packed._num.base, bytes)
+    from_arange = ArithFunc(Z, np.arange(n + 1, dtype=np.int64), 1)
+    assert packed == from_arange and hash(packed) == hash(from_arange)
 
 
 def _unpacked(fn, *args):
