@@ -66,13 +66,9 @@ def _render(result, fmt: Optional[str]) -> tuple[str, int]:
         return "".join(line + "\n" for line in lines), code
     if isinstance(result, bool):
         return ("true\n", 0) if result else ("false\n", 1)
-    from . import serialize
+    from .serialize import render
 
-    if fmt == "json":
-        return serialize.dumps(result) + "\n", 0
-    if fmt == "csv":
-        return serialize.to_csv(result), 0
-    return serialize.to_lines(result, " "), 0
+    return render(result, fmt), 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ Certificate rules (each reasons about the untruncated ring):
   prime q to have gcd 1 there.  Over Domain.Q the rule covers every prime
   rank r, since f(r) != 0 at the prime index r.
 * prime_leading_magnitude (Domain.Z): |f(1)| is prime; leading magnitudes
-  multiply, so one factor would have |g(1)| = 1, i.e. be a unit.
+  multiply, so one factor would have |g(1)| = 1, i.e. be a unit.  The rule
+  holds only below psi_12 (numutil.MR_PROOF_LIMIT), where the Miller-Rabin
+  test is a proof; from psi_12 on the verdict is UNKNOWN.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def certify(f: ArithFunc) -> Certificate:
             return Certificate(Verdict.IRREDUCIBLE, Reason(PRIME_SUPPORT, hit))
     elif f.domain is Domain.Z:
         magnitude = abs(r.leading)
-        if magnitude >= 2 and numutil.is_prime(magnitude):
+        if 2 <= magnitude < numutil.MR_PROOF_LIMIT and numutil.is_prime(magnitude):
             return Certificate(
                 Verdict.IRREDUCIBLE, Reason(PRIME_LEADING_MAGNITUDE, magnitude)
             )

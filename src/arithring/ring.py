@@ -741,9 +741,10 @@ def are_associates(f: ArithFunc, g: ArithFunc) -> bool:
     """True when f and g divide each other at the common bound.
 
     Decided by one division: f and g are associates exactly when their
-    ranks are equal and g divides f with a unit quotient.  Over Z a unit
-    has leading value +-1, so leading values of unequal magnitude are
-    rejected before dividing.
+    ranks r are equal and g divides f with a unit quotient.  The quotient
+    of a division at equal ranks has lead f(r) / g(r): nonzero over Q, and
+    +-1 over Z once leads of unequal magnitude are rejected, so it is a
+    unit whenever the division succeeds.
     """
     n = _common(f, g)
     fa, ga = restrict(f, n), restrict(g, n)
@@ -755,5 +756,4 @@ def are_associates(f: ArithFunc, g: ArithFunc) -> bool:
     # a unit quotient has lead +-1 over Z, so the leads must agree up to sign
     if f.domain is Domain.Z and abs(rf.leading) != abs(rg.leading):
         return False
-    forward = divide(fa, ga)
-    return forward.divisible and is_unit(forward.quotient)
+    return divide(fa, ga).divisible

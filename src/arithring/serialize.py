@@ -8,7 +8,10 @@ Rationals are reduced strings "p/q" with the "/q" part omitted when the
 denominator is 1.  "bound" may be left out; when present it must be a JSON
 integer equal to the number of values.  CSV is the bare value table, one
 "index,value" line per index 1..N; it carries no domain tag, so loaders take
-the domain as an argument (the CLI passes its --domain flag).
+the domain as an argument (the CLI passes its --domain flag).  Text is the
+CSV table with a space for the comma.  ``render`` picks the writer of each
+format for the CLI and for ``dump_path``; ``dump_path`` and ``load_path``
+take the format from the file's suffix, .json or .csv, and nothing else.
 
 Each output is built by one %-formatting pass over the store F: with L = 1
 the ints of F go in by ``%d`` and no per-value string is made, otherwise the
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .core import Domain, ParseError, _quoted
 from .ring import ArithFunc, make
@@ -147,31 +150,28 @@ def from_csv(text: str, domain: Domain = Domain.Q) -> ArithFunc:
         raise ParseError(f"bad coefficient: {exc}") from exc
 
 
-def dump_path(f: ArithFunc, path: Union[str, Path], fmt: Optional[str] = None) -> None:
-    path = Path(path)
-    fmt = fmt or _infer_format(path)
+def render(f: ArithFunc, fmt: str) -> str:
+    """The text of f in the format fmt: "json", "csv", else "text"."""
     if fmt == "json":
-        path.write_text(dumps(f) + "\n")
-    elif fmt == "csv":
-        path.write_text(to_csv(f))
-    else:
-        raise ValueError(f"unsupported function format {fmt!r}")
-
-
-def load_path(
-    path: Union[str, Path],
-    domain: Domain = Domain.Q,
-    fmt: Optional[str] = None,
-) -> ArithFunc:
-    """Load a function file; JSON keeps its own domain tag, CSV uses `domain`."""
-    path = Path(path)
-    fmt = fmt or _infer_format(path)
-    text = path.read_text()
-    if fmt == "json":
-        return loads(text)
+        return dumps(f) + "\n"
     if fmt == "csv":
-        return from_csv(text, domain)
-    raise ValueError(f"unsupported function format {fmt!r}")
+        return to_csv(f)
+    return to_lines(f, " ")
+
+
+def dump_path(f: ArithFunc, path: Union[str, Path]) -> None:
+    """Write f in the format its suffix names, .json or .csv."""
+    path = Path(path)
+    path.write_text(render(f, _infer_format(path)))
+
+
+def load_path(path: Union[str, Path], domain: Domain = Domain.Q) -> ArithFunc:
+    """Load a .json or .csv function file; JSON keeps its own domain tag,
+    CSV uses `domain`."""
+    path = Path(path)
+    fmt = _infer_format(path)
+    text = path.read_text()
+    return loads(text) if fmt == "json" else from_csv(text, domain)
 
 
 def _infer_format(path: Path) -> str:

@@ -151,6 +151,12 @@ class TestVerdictCommands:
                            "--format", "json")
         assert json.loads(out)["reason"] == {"kind": "prime_support", "value": 2}
 
+    def test_certify_of_a_psi_12_lead_is_unknown(self, capsys, tmp_path):
+        # psi_12 = 399165290221 * 798330580441 passes the Miller-Rabin test
+        path = tmp_path / "psi12.json"
+        path.write_text(json.dumps({"domain": "Z", "values": [str(numutil.MR_PROOF_LIMIT), "0"]}))
+        assert run(capsys, "certify", str(path), "--domain", "Z") == (0, "unknown\n", "")
+
     def test_verify_fact(self, capsys):
         code, out, _ = run(capsys, "verify-fact", "nu_4", "--factor", "nu_2",
                            "--factor", "nu_2", "--bound", "16")

@@ -18,13 +18,14 @@ from arithring import (
     epsilon,
     make,
     nu,
+    numutil,
     omega,
     rank_screen,
     scale,
     verify_factorization,
     witness_reducible,
 )
-from arithring.factorization import PRIME_LEADING_MAGNITUDE, PRIME_SUPPORT
+from arithring.factorization import PRIME_LEADING_MAGNITUDE, PRIME_SUPPORT, Certificate
 
 from conftest import arith_funcs
 
@@ -66,6 +67,21 @@ class TestCertify:
         p = (1 << 61) - 1  # Mersenne prime
         cert = certify(scale(epsilon(4, Z), p))
         assert (cert.reason.kind, cert.reason.value) == (PRIME_LEADING_MAGNITUDE, p)
+
+    def test_leading_magnitude_rule_holds_only_below_psi_12(self):
+        # psi_12 passes the 12-base Miller-Rabin test but splits, so a lead of
+        # that magnitude proves nothing; the prime 20 below it is proven
+        psi12, split = numutil.MR_PROOF_LIMIT, (399165290221, 798330580441)
+        assert numutil.is_prime(psi12) and split[0] * split[1] == psi12
+        for sign in (1, -1):
+            f = scale(epsilon(3, Z), sign * psi12)
+            assert certify(f) == Certificate(Verdict.UNKNOWN)
+            left, right = scale(epsilon(3, Z), sign * split[0]), scale(epsilon(3, Z), split[1])
+            assert witness_reducible(f, left, right).verdict is Verdict.REDUCIBLE
+        below = psi12 - 20
+        cert = certify(scale(epsilon(3, Z), -below))
+        assert cert.verdict is Verdict.IRREDUCIBLE
+        assert (cert.reason.kind, cert.reason.value) == (PRIME_LEADING_MAGNITUDE, below)
 
     def test_prime_rank_subsumed_by_support_over_q(self):
         # a prime rank puts a nonzero value on a prime index, so the

@@ -101,12 +101,6 @@ def test_csv_errors_carry_line_numbers():
         from_csv("", Q)
 
 
-def test_dump_path_rejects_an_unsupported_format(tmp_path):
-    with pytest.raises(ValueError, match="unsupported function format 'xml'"):
-        dump_path(make([1, 2], Z), tmp_path / "f.json", "xml")
-    assert not (tmp_path / "f.json").exists()
-
-
 def test_csv_rejects_out_of_domain_value():
     with pytest.raises(ParseError):
         from_csv("1,1/2\n", Z)
@@ -155,10 +149,12 @@ def test_path_round_trip_infers_format(tmp_path):
     dump_path(f, csv_file)
     assert load_path(json_file) == f
     assert load_path(csv_file, domain=Q) == f
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot infer format from 'f.dat'"):
         dump_path(f, tmp_path / "f.dat")
-    with pytest.raises(ValueError):
-        load_path(tmp_path / "f.json", fmt="xml")
+    assert not (tmp_path / "f.dat").exists()
+    # the suffix is read first: a missing file would raise FileNotFoundError
+    with pytest.raises(ValueError, match="^cannot infer format from 'f.xml'"):
+        load_path(tmp_path / "f.xml")
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +190,23 @@ def test_output_from_the_store_matches_fraction_formatting(name, tmp_path, capsy
         assert main(["fn-eval", str(path), "--format", fmt]) == 0
         assert capsys.readouterr().out == out
     assert loads(dumps(f)) == f
+
+
+@pytest.mark.parametrize("name", ["int64", *sorted(_stores())])
+def test_dump_path_writes_the_bytes_the_cli_writes(name, tmp_path):
+    from arithring.cli import main
+
+    f = make([3, -1, 0, 1 << 40, -(1 << 62), 7], Z) if name == "int64" else _stores()[name]
+    assert (f._num.dtype == np.int64) == (name in ("int64", "L=6"))
+    source = tmp_path / "source.json"
+    dump_path(f, source)
+    g = load_path(source)
+    assert g == f and g._num.dtype == f._num.dtype and g._den == f._den
+    for fmt in ("json", "csv"):
+        path, out = tmp_path / f"f.{fmt}", tmp_path / f"cli.{fmt}"
+        dump_path(f, path)
+        assert main(["fn-eval", str(source), "--format", fmt, "--out", str(out)]) == 0
+        assert path.read_bytes() == out.read_bytes(), fmt
 
 
 # ---------------------------------------------------------------------------
